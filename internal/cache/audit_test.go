@@ -1,0 +1,327 @@
+package cache
+
+import (
+	"slices"
+	"testing"
+)
+
+// Geometries of the three Coffee Lake levels; each audit case picks one and
+// a replacement policy.
+var (
+	l1Shape  = Config{Name: "L1D", SizeBytes: 32 << 10, Ways: 8, LineSize: 64}
+	l2Shape  = Config{Name: "L2", SizeBytes: 256 << 10, Ways: 4, LineSize: 64}
+	llcShape = Config{Name: "LLC", SizeBytes: 12 << 20, Ways: 16, LineSize: 64, Slices: 8}
+)
+
+// lineIn returns the k-th smallest line address that maps to slice si,
+// set i of c.
+func lineIn(c *Cache, si, i, k int) uint64 {
+	for line := uint64(i); ; line += c.nsets {
+		if c.SliceOf(lineAddr(line, c.cfg.LineSize)) == si {
+			if k == 0 {
+				return line
+			}
+			k--
+		}
+	}
+}
+
+// auditFixture builds a clean, populated cache: sets (0,0), (0,1) and the
+// last set of the last slice hold a line in every way, set (0,2) in half
+// its ways, and a few hits reorder the replacement state.
+func auditFixture(cfg Config, pol PolicyKind) *Cache {
+	cfg.Policy = pol
+	c := MustNew(cfg)
+	fills := []struct{ si, i, n int }{
+		{0, 0, c.ways}, {0, 1, c.ways}, {0, 2, c.ways / 2},
+		{c.nslices - 1, int(c.nsets) - 1, c.ways},
+	}
+	for _, f := range fills {
+		for k := 0; k < f.n; k++ {
+			c.Fill(lineAddr(lineIn(c, f.si, f.i, k), c.cfg.LineSize))
+		}
+	}
+	for _, k := range []int{1, 0, 2} {
+		c.Access(lineAddr(lineIn(c, 0, 0, k), c.cfg.LineSize))
+	}
+	return c
+}
+
+// TestAuditMessages pins the exact text and order of every audit finding:
+// each violation class is planted by restoring an edited snapshot into L1-,
+// L2- and sliced-LLC-shaped caches, alone, several to a set and across
+// sets. A clean set must produce nothing, including the cases a faster
+// check could get wrong: a duplicate held only in an invalid way, and line
+// words at or above 2^58, whose byte address wraps.
+func TestAuditMessages(t *testing.T) {
+	set := func(s *Snapshot, si, i int) *SetSnapshot { return &s.Sets[si][i] }
+	cases := []struct {
+		name  string
+		shape Config
+		pol   PolicyKind
+		plant func(c *Cache, s *Snapshot)
+		want  []string
+	}{
+		{name: "l1/clean", shape: l1Shape, pol: BitPLRU},
+		{
+			name: "l1/wrong-set", shape: l1Shape, pol: BitPLRU,
+			plant: func(c *Cache, s *Snapshot) { set(s, 0, 0).Lines[3] = lineIn(c, 0, 7, 0) },
+			want: []string{
+				`cache "L1D": slice 0 set 0 way 3 holds line 0x7 which maps to set 7`,
+			},
+		},
+		{
+			name: "l1/duplicate", shape: l1Shape, pol: BitPLRU,
+			plant: func(c *Cache, s *Snapshot) { set(s, 0, 1).Lines[5] = set(s, 0, 1).Lines[1] },
+			want: []string{
+				`cache "L1D": slice 0 set 1 holds line 0x41 in ways 1 and 5`,
+			},
+		},
+		{
+			name: "l1/duplicate-in-invalid-way", shape: l1Shape, pol: BitPLRU,
+			plant: func(c *Cache, s *Snapshot) { set(s, 0, 2).Lines[6] = set(s, 0, 2).Lines[0] },
+		},
+		{
+			name: "l1/duplicate-into-invalid-way", shape: l1Shape, pol: BitPLRU,
+			plant: func(c *Cache, s *Snapshot) {
+				ss := set(s, 0, 2)
+				ss.Lines[6], ss.Valid[6] = ss.Lines[0], true
+			},
+			want: []string{
+				`cache "L1D": slice 0 set 2 holds line 0x2 in ways 0 and 6`,
+			},
+		},
+		{
+			name: "l1/bitplru-ones-mismatch", shape: l1Shape, pol: BitPLRU,
+			plant: func(c *Cache, s *Snapshot) { set(s, 0, 0).Policy[0]++ },
+			want: []string{
+				`cache "L1D": slice 0 set 0 policy: Bit-PLRU: ones counter 5 != popcount 4`,
+			},
+		},
+		{
+			name: "l1/bitplru-all-ones", shape: l1Shape, pol: BitPLRU,
+			plant: func(c *Cache, s *Snapshot) {
+				p := set(s, 0, 1).Policy
+				for w := range p {
+					p[w] = 1
+				}
+				p[0] = uint64(c.ways)
+			},
+			want: []string{
+				`cache "L1D": slice 0 set 1 policy: Bit-PLRU: all 8 MRU bits set (all-ones state must never persist)`,
+			},
+		},
+		{
+			name: "l1/several-in-one-set", shape: l1Shape, pol: BitPLRU,
+			plant: func(c *Cache, s *Snapshot) {
+				ss := set(s, 0, 0)
+				ss.Lines[2] = lineIn(c, 0, 9, 3)
+				ss.Lines[4] = ss.Lines[0]
+				ss.Lines[6] = ss.Lines[0]
+				ss.Policy[0] += 2
+			},
+			want: []string{
+				`cache "L1D": slice 0 set 0 holds line 0x0 in ways 0 and 4`,
+				`cache "L1D": slice 0 set 0 holds line 0x0 in ways 0 and 6`,
+				`cache "L1D": slice 0 set 0 way 2 holds line 0xc9 which maps to set 9`,
+				`cache "L1D": slice 0 set 0 holds line 0x0 in ways 4 and 6`,
+				`cache "L1D": slice 0 set 0 policy: Bit-PLRU: ones counter 6 != popcount 4`,
+			},
+		},
+		{
+			name: "l1/across-sets", shape: l1Shape, pol: BitPLRU,
+			plant: func(c *Cache, s *Snapshot) {
+				set(s, 0, 0).Lines[7] = lineIn(c, 0, 63, 1)
+				set(s, 0, 1).Lines[0] = set(s, 0, 1).Lines[7]
+				last := set(s, 0, 63).Policy
+				for w := range last {
+					last[w] = 1
+				}
+				last[0] = uint64(c.ways)
+			},
+			want: []string{
+				`cache "L1D": slice 0 set 0 way 7 holds line 0x7f which maps to set 63`,
+				`cache "L1D": slice 0 set 1 holds line 0x1c1 in ways 0 and 7`,
+				`cache "L1D": slice 0 set 63 policy: Bit-PLRU: all 8 MRU bits set (all-ones state must never persist)`,
+			},
+		},
+		{
+			name: "l1/treeplru-wrong-set-and-duplicate", shape: l1Shape, pol: TreePLRU,
+			plant: func(c *Cache, s *Snapshot) {
+				ss := set(s, 0, 1)
+				ss.Lines[1] = lineIn(c, 0, 0, 5)
+				ss.Lines[3] = ss.Lines[1]
+			},
+			want: []string{
+				`cache "L1D": slice 0 set 1 way 1 holds line 0x140 which maps to set 0`,
+				`cache "L1D": slice 0 set 1 holds line 0x140 in ways 1 and 3`,
+				`cache "L1D": slice 0 set 1 way 3 holds line 0x140 which maps to set 0`,
+			},
+		},
+		{
+			name: "l2/fifo-stamp-ahead", shape: l2Shape, pol: FIFO,
+			plant: func(c *Cache, s *Snapshot) {
+				p := set(s, 0, 0).Policy
+				p[1+2] = p[0] + 1
+			},
+			want: []string{
+				`cache "L2": slice 0 set 0 policy: FIFO: way 2 stamp 5 ahead of clock 4`,
+			},
+		},
+		{
+			name: "l2/fifo-two-stamps-ahead", shape: l2Shape, pol: FIFO,
+			plant: func(c *Cache, s *Snapshot) {
+				p := set(s, 0, 1).Policy
+				p[1+1] = p[0] + 7
+				p[1+3] = p[0] + 2
+			},
+			want: []string{
+				`cache "L2": slice 0 set 1 policy: FIFO: way 1 stamp 11 ahead of clock 4`,
+			},
+		},
+		{
+			name: "l2/lru-several-across-sets", shape: l2Shape, pol: LRU,
+			plant: func(c *Cache, s *Snapshot) {
+				set(s, 0, 0).Lines[0] = lineIn(c, 0, 1023, 9)
+				p := set(s, 0, 0).Policy
+				p[1+3] = p[0] + 1
+				set(s, 0, 2).Lines[1] = set(s, 0, 2).Lines[0]
+				ss := set(s, 0, 1023)
+				ss.Lines[2], ss.Lines[3] = ss.Lines[1], ss.Lines[1]
+			},
+			want: []string{
+				`cache "L2": slice 0 set 0 way 0 holds line 0x27ff which maps to set 1023`,
+				`cache "L2": slice 0 set 0 policy: LRU: way 3 stamp 8 ahead of clock 7`,
+				`cache "L2": slice 0 set 2 holds line 0x2 in ways 0 and 1`,
+				`cache "L2": slice 0 set 1023 holds line 0x7ff in ways 1 and 2`,
+				`cache "L2": slice 0 set 1023 holds line 0x7ff in ways 1 and 3`,
+				`cache "L2": slice 0 set 1023 holds line 0x7ff in ways 2 and 3`,
+			},
+		},
+		{
+			name: "l2/random-wrong-set", shape: l2Shape, pol: RandomPolicy,
+			plant: func(c *Cache, s *Snapshot) { set(s, 0, 1).Lines[2] = lineIn(c, 0, 2, 0) },
+			want: []string{
+				`cache "L2": slice 0 set 1 way 2 holds line 0x2 which maps to set 2`,
+			},
+		},
+		{name: "llc/clean", shape: llcShape, pol: LRU},
+		{
+			name: "llc/wrong-slice", shape: llcShape, pol: LRU,
+			plant: func(c *Cache, s *Snapshot) { set(s, 0, 0).Lines[5] = lineIn(c, 3, 0, 0) },
+			want: []string{
+				`cache "LLC": slice 0 set 0 way 5 holds line 0x1200 which maps to slice 3`,
+			},
+		},
+		{
+			name: "llc/wrong-set", shape: llcShape, pol: LRU,
+			plant: func(c *Cache, s *Snapshot) { set(s, 0, 1).Lines[9] = lineIn(c, 0, 9, 0) },
+			want: []string{
+				`cache "LLC": slice 0 set 1 way 9 holds line 0x3c09 which maps to set 9`,
+			},
+		},
+		{
+			name: "llc/wrong-slice-and-set", shape: llcShape, pol: LRU,
+			plant: func(c *Cache, s *Snapshot) { set(s, 7, 1535).Lines[15] = lineIn(c, 2, 700, 4) },
+			want: []string{
+				`cache "LLC": slice 7 set 1535 way 15 holds line 0x122bc which maps to slice 2`,
+				`cache "LLC": slice 7 set 1535 way 15 holds line 0x122bc which maps to set 700`,
+			},
+		},
+		{
+			name: "llc/duplicate", shape: llcShape, pol: LRU,
+			plant: func(c *Cache, s *Snapshot) { set(s, 0, 0).Lines[14] = set(s, 0, 0).Lines[3] },
+			want: []string{
+				`cache "LLC": slice 0 set 0 holds line 0x7e00 in ways 3 and 14`,
+			},
+		},
+		{
+			name: "llc/stamp-ahead", shape: llcShape, pol: LRU,
+			plant: func(c *Cache, s *Snapshot) {
+				p := set(s, 7, 1535).Policy
+				p[1+15] = p[0] + 100
+			},
+			want: []string{
+				`cache "LLC": slice 7 set 1535 policy: LRU: way 15 stamp 116 ahead of clock 16`,
+			},
+		},
+		{
+			// Line word 2^58+L: the byte address wraps to L's, so the
+			// level audits it as L, which belongs in set (0,0).
+			name: "llc/line-word-wraps-into-its-set", shape: llcShape, pol: LRU,
+			plant: func(c *Cache, s *Snapshot) { set(s, 0, 0).Lines[8] = 1<<58 | lineIn(c, 0, 0, 40) },
+		},
+		{
+			// 2^58 ≡ 1024 (mod 1536): this word's own residue is set 0, but
+			// its wrapped byte address maps to set 512.
+			name: "llc/line-word-wraps-out-of-its-set", shape: llcShape, pol: LRU,
+			plant: func(c *Cache, s *Snapshot) { set(s, 0, 0).Lines[8] = 1<<58 | lineIn(c, 0, 512, 0) },
+			want: []string{
+				`cache "LLC": slice 0 set 0 way 8 holds line 0x400000000001a00 which maps to set 512`,
+			},
+		},
+		{
+			name: "llc/several-across-slices", shape: llcShape, pol: FIFO,
+			plant: func(c *Cache, s *Snapshot) {
+				ss := set(s, 0, 0)
+				ss.Lines[0] = lineIn(c, 5, 0, 0)
+				ss.Lines[1] = lineIn(c, 0, 3, 0)
+				ss.Lines[12] = ss.Lines[11]
+				ss.Policy[1+4] = ss.Policy[0] + 1
+				set(s, 0, 2).Lines[2] = lineIn(c, 6, 1, 2)
+				last := set(s, 7, 1535)
+				last.Lines[0], last.Lines[15] = last.Lines[15], last.Lines[0]
+				last.Lines[7] = last.Lines[15]
+			},
+			want: []string{
+				`cache "LLC": slice 0 set 0 way 0 holds line 0x1e00 which maps to slice 5`,
+				`cache "LLC": slice 0 set 0 way 1 holds line 0x1203 which maps to set 3`,
+				`cache "LLC": slice 0 set 0 holds line 0x23a00 in ways 11 and 12`,
+				`cache "LLC": slice 0 set 0 policy: FIFO: way 4 stamp 17 ahead of clock 16`,
+				`cache "LLC": slice 0 set 2 way 2 holds line 0x3001 which maps to slice 6`,
+				`cache "LLC": slice 0 set 2 way 2 holds line 0x3001 which maps to set 1`,
+				`cache "LLC": slice 7 set 1535 holds line 0xbff in ways 7 and 15`,
+			},
+		},
+		{
+			name: "llc/bitplru-mismatch-and-wrong-slice", shape: llcShape, pol: BitPLRU,
+			plant: func(c *Cache, s *Snapshot) {
+				ss := set(s, 0, 1)
+				ss.Lines[4] = lineIn(c, 1, 1, 0)
+				ss.Policy[0] = 0
+				all := set(s, 7, 1535).Policy
+				for w := range all {
+					all[w] = 1
+				}
+				all[0] = uint64(c.ways)
+			},
+			want: []string{
+				`cache "LLC": slice 0 set 1 way 4 holds line 0x1 which maps to slice 1`,
+				`cache "LLC": slice 0 set 1 policy: Bit-PLRU: ones counter 0 != popcount 1`,
+				`cache "LLC": slice 7 set 1535 policy: Bit-PLRU: all 16 MRU bits set (all-ones state must never persist)`,
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := auditFixture(tc.shape, tc.pol)
+			if errs := c.Audit(); len(errs) != 0 {
+				t.Fatalf("fixture fails audit before planting: %v", errs)
+			}
+			if tc.plant != nil {
+				snap := c.Snapshot()
+				tc.plant(c, &snap)
+				if err := c.Restore(snap); err != nil {
+					t.Fatalf("restore: %v", err)
+				}
+			}
+			var got []string
+			for _, err := range c.Audit() {
+				got = append(got, err.Error())
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("audit findings:\n got %q\nwant %q", got, tc.want)
+			}
+		})
+	}
+}

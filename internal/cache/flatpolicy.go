@@ -346,6 +346,31 @@ func (pa *policyArray) audit(g int) error {
 	}
 }
 
+// sound reports whether audit(g) would return nil, without building an
+// error: the per-set fast path of Cache.Audit.
+func (pa *policyArray) sound(g int) bool {
+	switch pa.kind {
+	case LRU, FIFO:
+		clock := pa.clocks[g]
+		for _, s := range pa.stamps[g*pa.ways : (g+1)*pa.ways] {
+			if s > clock {
+				return false
+			}
+		}
+		return true
+	case BitPLRU:
+		pop := 0
+		for _, b := range pa.mru[g*pa.ways : (g+1)*pa.ways] {
+			if b {
+				pop++
+			}
+		}
+		return pop == int(pa.ones[g]) && (pop != pa.ways || pa.ways == 0)
+	default:
+		return true
+	}
+}
+
 // setPolicyView adapts one global set of a policyArray to the Policy
 // interface, so PolicyAt keeps handing fault injection and tests a mutable
 // per-set policy object after the flattening.

@@ -128,33 +128,74 @@ func (c *Cache) StateHash() uint64 {
 // lines within a set, every valid line resident in the slice/set its address
 // maps to, and the per-set replacement policy internally consistent. It
 // returns every broken rule.
+//
+// Each set first gets setSound, an exact check that builds no messages;
+// only a set that fails it is walked again by auditSet, which reports each
+// broken rule. A clean audit is therefore one pass over the level.
 func (c *Cache) Audit() []error {
 	var errs []error
-	gsets := c.nslices * int(c.nsets)
-	for g := 0; g < gsets; g++ {
-		si, i := g/int(c.nsets), g%int(c.nsets)
-		base := g * c.ways
-		for w := 0; w < c.ways; w++ {
-			if !c.valid[base+w] {
-				continue
+	g := 0
+	for si := 0; si < c.nslices; si++ {
+		for i := 0; i < int(c.nsets); i++ {
+			if !c.setSound(si, i, g) {
+				errs = c.auditSet(errs, si, i, g)
 			}
-			line := c.lines[base+w]
-			p := lineAddr(line, c.cfg.LineSize)
-			if got := c.SliceOf(p); got != si {
-				errs = append(errs, fmt.Errorf("cache %q: slice %d set %d way %d holds line %#x which maps to slice %d", c.cfg.Name, si, i, w, line, got))
-			}
-			if got := c.SetOf(p); got != uint64(i) {
-				errs = append(errs, fmt.Errorf("cache %q: slice %d set %d way %d holds line %#x which maps to set %d", c.cfg.Name, si, i, w, line, got))
-			}
-			for w2 := w + 1; w2 < c.ways; w2++ {
-				if c.valid[base+w2] && c.lines[base+w2] == line {
-					errs = append(errs, fmt.Errorf("cache %q: slice %d set %d holds line %#x in ways %d and %d", c.cfg.Name, si, i, line, w, w2))
-				}
+			g++
+		}
+	}
+	return errs
+}
+
+// setSound reports whether set i of slice si (global set g) breaks none of
+// the rules auditSet checks. It must agree with auditSet exactly, so it
+// maps lines with the same SliceOf/SetOf expressions, not gsetOfLine, which
+// disagrees with them for line words whose byte address overflows.
+func (c *Cache) setSound(si, i, g int) bool {
+	base := g * c.ways
+	lines := c.lines[base : base+c.ways]
+	valid := c.valid[base : base+c.ways]
+	for w, v := range valid {
+		if !v {
+			continue
+		}
+		line := lines[w]
+		p := lineAddr(line, c.cfg.LineSize)
+		if c.SliceOf(p) != si || c.SetOf(p) != uint64(i) {
+			return false
+		}
+		for w2 := w + 1; w2 < len(lines); w2++ {
+			if lines[w2] == line && valid[w2] {
+				return false
 			}
 		}
-		if err := c.pol.audit(g); err != nil {
-			errs = append(errs, fmt.Errorf("cache %q: slice %d set %d policy: %w", c.cfg.Name, si, i, err))
+	}
+	return c.pol.sound(g)
+}
+
+// auditSet appends one error per broken rule of set i of slice si (global
+// set g), in way order, then the policy's.
+func (c *Cache) auditSet(errs []error, si, i, g int) []error {
+	base := g * c.ways
+	for w := 0; w < c.ways; w++ {
+		if !c.valid[base+w] {
+			continue
 		}
+		line := c.lines[base+w]
+		p := lineAddr(line, c.cfg.LineSize)
+		if got := c.SliceOf(p); got != si {
+			errs = append(errs, fmt.Errorf("cache %q: slice %d set %d way %d holds line %#x which maps to slice %d", c.cfg.Name, si, i, w, line, got))
+		}
+		if got := c.SetOf(p); got != uint64(i) {
+			errs = append(errs, fmt.Errorf("cache %q: slice %d set %d way %d holds line %#x which maps to set %d", c.cfg.Name, si, i, w, line, got))
+		}
+		for w2 := w + 1; w2 < c.ways; w2++ {
+			if c.valid[base+w2] && c.lines[base+w2] == line {
+				errs = append(errs, fmt.Errorf("cache %q: slice %d set %d holds line %#x in ways %d and %d", c.cfg.Name, si, i, line, w, w2))
+			}
+		}
+	}
+	if err := c.pol.audit(g); err != nil {
+		errs = append(errs, fmt.Errorf("cache %q: slice %d set %d policy: %w", c.cfg.Name, si, i, err))
 	}
 	return errs
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -106,14 +107,13 @@ func byAddr(fws []*fakeWorker, addr string) *fakeWorker {
 }
 
 // TestDispatchRendezvousStability: the same key lands on the same worker
-// every time, and a spread of keys uses more than one worker — the sharding
-// property that makes worker-side checkpoint reuse effective.
+// every time, and keys spread evenly over workers — the sharding property
+// that makes worker-side checkpoint reuse effective.
 func TestDispatchRendezvousStability(t *testing.T) {
 	fws := []*fakeWorker{newFakeWorker(t, "w1"), newFakeWorker(t, "w2"), newFakeWorker(t, "w3")}
 	c, _ := testCoordinator(t, nil, fws...)
 
 	seen := map[string]string{} // key -> worker id
-	used := map[string]bool{}
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 12; i++ {
 			key := fmt.Sprintf("campaign-%d", i)
@@ -131,11 +131,27 @@ func TestDispatchRendezvousStability(t *testing.T) {
 				t.Fatalf("key %s moved from %s to %s with stable membership", key, prev, res.Worker)
 			}
 			seen[key] = res.Worker
-			used[res.Worker] = true
 		}
 	}
-	if len(used) < 2 {
-		t.Fatalf("12 keys all hashed to one worker: %v", used)
+
+	// Fair share: over 1000 keys, each worker is the first choice for
+	// within 0.06 of 1/n of them, for fixed loopback addresses.
+	const keys, tolerance = 1000, 0.06
+	for _, n := range []int{2, 3, 5} {
+		workers := make([]*worker, n)
+		for i := range workers {
+			workers[i] = &worker{addr: fmt.Sprintf("http://127.0.0.1:%d", 41000+i)}
+		}
+		first := map[string]int{}
+		for i := 0; i < keys; i++ {
+			first[rankWorkers(workers, fmt.Sprintf("campaign-%d", i))[0].addr]++
+		}
+		for _, w := range workers {
+			share := float64(first[w.addr]) / keys
+			if math.Abs(share-1/float64(n)) > tolerance {
+				t.Errorf("%d workers: %s is first choice for %.3f of keys, want %.3f±%.2f", n, w.addr, share, 1/float64(n), tolerance)
+			}
+		}
 	}
 }
 

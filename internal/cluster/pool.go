@@ -123,10 +123,15 @@ func (p *pool) updateHealthyGauge() {
 }
 
 // rankWorkers orders candidates for a key by rendezvous (highest-random-
-// weight) hashing: every (worker, key) pair gets an FNV-1a score and workers
-// are sorted descending. Each campaign key therefore has a stable preferred
+// weight) hashing: every (worker, key) pair gets a score and workers are
+// sorted descending. Each campaign key therefore has a stable preferred
 // worker for any given membership, shards spread uniformly, and membership
 // changes only remap the keys that hashed to the departed worker.
+//
+// The score is FNV-1a over addr|key finished with the splitmix64 mixer.
+// Raw FNV-1a is not enough: the key bytes come last and only reach the low
+// and middle bits, so the high bits that decide the order would come from
+// the address alone and send every key to the same worker.
 func rankWorkers(workers []*worker, key string) []*worker {
 	type scored struct {
 		w     *worker
@@ -138,7 +143,7 @@ func rankWorkers(workers []*worker, key string) []*worker {
 		io.WriteString(h, w.addr)
 		io.WriteString(h, "|")
 		io.WriteString(h, key)
-		ranked = append(ranked, scored{w, h.Sum64()})
+		ranked = append(ranked, scored{w, mix64(h.Sum64())})
 	}
 	sort.Slice(ranked, func(i, j int) bool {
 		if ranked[i].score != ranked[j].score {
@@ -151,6 +156,16 @@ func rankWorkers(workers []*worker, key string) []*worker {
 		out[i] = s.w
 	}
 	return out
+}
+
+// mix64 is the splitmix64 finaliser: a bijection on uint64 in which every
+// input bit affects every output bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 // latencyRing keeps the most recent dispatch durations for the hedging

@@ -19,6 +19,17 @@ func benchMachine(b *testing.B) (*Machine, *Env, *mem.Mapping) {
 	return m, env, buf
 }
 
+// warmedMachine is benchMachine's machine after 4096 more loads: the warmed
+// template a forked sweep forks, then hashes and audits once per point.
+func warmedMachine(b *testing.B) *Machine {
+	b.Helper()
+	m, env, buf := benchMachine(b)
+	for i := 0; i < 4096; i++ {
+		env.Load(0x400040, buf.Base+mem.VAddr(i%(16*64))*mem.LineSize)
+	}
+	return m
+}
+
 // BenchmarkMachineLoadSteadyState measures the full demand-load path —
 // translate, TLB, hierarchy, prefetcher suite, latency histogram — with a
 // hot working set. This is the per-access unit every attack and campaign
@@ -82,14 +93,38 @@ func BenchmarkLoadBatch(b *testing.B) {
 // the per-point cost the forked sweep mode pays instead of a full boot
 // (BenchmarkNewMachine plus campaign warmup).
 func BenchmarkMachineFork(b *testing.B) {
-	m, env, buf := benchMachine(b)
-	for i := 0; i < 4096; i++ {
-		env.Load(0x400040, buf.Base+mem.VAddr(i%(16*64))*mem.LineSize)
-	}
+	m := warmedMachine(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.MustFork()
+	}
+}
+
+// hashSink keeps BenchmarkMachineStateHash's digest live.
+var hashSink uint64
+
+// BenchmarkMachineStateHash measures the per-point state digest: one fold
+// over every component, dominated by the multi-megabyte LLC arrays.
+func BenchmarkMachineStateHash(b *testing.B) {
+	f := warmedMachine(b).MustFork()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hashSink = f.StateHash()
+	}
+}
+
+// BenchmarkMachineAudit measures the per-point invariant audit of a clean
+// machine: every cache set, the TLB, the prefetchers and the scheduler.
+func BenchmarkMachineAudit(b *testing.B) {
+	f := warmedMachine(b).MustFork()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.Audit(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -18,7 +18,20 @@
 // relies on. Changing the fold redefines every digest, so pinned goldens
 // (TestStateHashGolden, testdata/hotpath_golden.json) were regenerated when
 // it landed and recorded replay checkpoints from before it do not resume.
+//
+// Bool slices (a cache's valid and prefetched bits) are packed eight at a
+// time: one little-endian 64-bit load reads eight bools as eight 0/1 bytes,
+// and one multiply gathers those bytes into eight adjacent bits, so packing
+// costs a load and a multiply per eight bools instead of a branch per bool.
+// The packed words are the ones a bool-at-a-time loop builds (bool n at bit
+// n%64), so digests do not depend on how the bits were gathered, nor on the
+// host's byte order.
 package statehash
+
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
 // FNV-1a 64-bit parameters.
 const (
@@ -97,26 +110,39 @@ func (h *Hash) U64s(vs []uint64) *Hash {
 }
 
 // Bools folds a slice of bools with a length prefix, bit-packed 64 per
-// word (the length prefix makes the packing injective).
+// word with bool n at bit n%64 (the length prefix makes the packing
+// injective).
 func (h *Hash) Bools(vs []bool) *Hash {
 	h.byte(tagSlice)
 	acc := (h.h ^ uint64(len(vs))) * prime64
-	var packed uint64
-	n := 0
-	for _, v := range vs {
-		if v {
-			packed |= 1 << uint(n)
+	for b := boolBytes(vs); len(b) > 0; {
+		n := min(len(b), 64)
+		var packed uint64
+		i := 0
+		for ; i+8 <= n; i += 8 {
+			packed |= gather8(binary.LittleEndian.Uint64(b[i:])) << i
 		}
-		if n++; n == 64 {
-			acc = (acc ^ packed) * prime64
-			packed, n = 0, 0
+		for ; i < n; i++ {
+			packed |= uint64(b[i]) << i
 		}
-	}
-	if n > 0 {
 		acc = (acc ^ packed) * prime64
+		b = b[n:]
 	}
 	h.h = acc
 	return h
+}
+
+// gather8 packs eight 0/1 bytes, byte k of x being bool k, into the low
+// eight bits, bool k at bit k. The multiply adds a copy of x shifted by
+// 56-7k for each k, which moves byte k's bit (bit 8k) to bit 56+k; no two
+// shifted bits share a position, so nothing carries into the top byte.
+func gather8(x uint64) uint64 { return (x * 0x0102040810204080) >> 56 }
+
+// boolBytes views vs as bytes without copying. It assumes a Go bool is one
+// byte holding 0 (false) or 1 (true), which is how the gc toolchain stores
+// it; TestBoolsMatchesReference fails on a toolchain where it is not.
+func boolBytes(vs []bool) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), len(vs))
 }
 
 // Str folds a string with a length prefix.
