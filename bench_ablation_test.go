@@ -122,6 +122,24 @@ func BenchmarkAblationReplacementPolicy(b *testing.B) {
 	b.ReportMetric(fifo, "fifo-matches")
 }
 
+// TestFig8bReplacementPolicyElimination pins the same §4.5 elimination
+// argument as a pass/fail claim: under the Figure 8b schedule, Bit-PLRU and
+// true LRU reproduce the observed eviction set and FIFO does not.
+func TestFig8bReplacementPolicyElimination(t *testing.T) {
+	for _, tc := range []struct {
+		policy cache.PolicyKind
+		want   bool
+	}{
+		{cache.BitPLRU, true},
+		{cache.LRU, true},
+		{cache.FIFO, false},
+	} {
+		if got := fig8bPattern(tc.policy); got != tc.want {
+			t.Errorf("%v reproduces the Figure 8b eviction set: %v, want %v", tc.policy, got, tc.want)
+		}
+	}
+}
+
 func boolMetric(v bool) float64 {
 	if v {
 		return 1

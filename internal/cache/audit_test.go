@@ -3,6 +3,8 @@ package cache
 import (
 	"slices"
 	"testing"
+
+	"afterimage/internal/mem"
 )
 
 // Geometries of the three Coffee Lake levels; each audit case picks one and
@@ -47,45 +49,71 @@ func auditFixture(cfg Config, pol PolicyKind) *Cache {
 	return c
 }
 
+// Views into slice si, set i of c's flat arrays, so a plant edits the
+// cache in place.
+func gsetOf(c *Cache, si, i int) int { return si*int(c.nsets) + i }
+
+func linesOf(c *Cache, si, i int) []uint64 {
+	g := gsetOf(c, si, i)
+	return c.lines[g*c.ways : (g+1)*c.ways]
+}
+
+// stampsOf returns set (si, i)'s LRU/FIFO stamps and its clock.
+func stampsOf(c *Cache, si, i int) ([]uint64, uint64) {
+	g := gsetOf(c, si, i)
+	return c.pol.stamps[g*c.ways : (g+1)*c.ways], c.pol.clocks[g]
+}
+
+// setAllOnes plants the all-ones Bit-PLRU state into set (si, i): every
+// MRU bit set and the counter agreeing, which Touch never leaves behind.
+func setAllOnes(c *Cache, si, i int) {
+	g := gsetOf(c, si, i)
+	mru := c.pol.mru[g*c.ways : (g+1)*c.ways]
+	for w := range mru {
+		mru[w] = true
+	}
+	c.pol.ones[g] = int32(c.ways)
+}
+
 // TestAuditMessages pins the exact text and order of every audit finding:
-// each violation class is planted by restoring an edited snapshot into L1-,
-// L2- and sliced-LLC-shaped caches, alone, several to a set and across
-// sets. A clean set must produce nothing, including the cases a faster
+// each violation class is planted into a fork of a clean L1-, L2- or
+// sliced-LLC-shaped cache, alone, several to a set and across sets. A clean set must produce nothing, including the cases a faster
 // check could get wrong: a duplicate held only in an invalid way, and line
 // words at or above 2^58, whose byte address wraps.
 func TestAuditMessages(t *testing.T) {
-	set := func(s *Snapshot, si, i int) *SetSnapshot { return &s.Sets[si][i] }
 	cases := []struct {
 		name  string
 		shape Config
 		pol   PolicyKind
-		plant func(c *Cache, s *Snapshot)
+		plant func(c *Cache)
 		want  []string
 	}{
 		{name: "l1/clean", shape: l1Shape, pol: BitPLRU},
 		{
 			name: "l1/wrong-set", shape: l1Shape, pol: BitPLRU,
-			plant: func(c *Cache, s *Snapshot) { set(s, 0, 0).Lines[3] = lineIn(c, 0, 7, 0) },
+			plant: func(c *Cache) { linesOf(c, 0, 0)[3] = lineIn(c, 0, 7, 0) },
 			want: []string{
 				`cache "L1D": slice 0 set 0 way 3 holds line 0x7 which maps to set 7`,
 			},
 		},
 		{
 			name: "l1/duplicate", shape: l1Shape, pol: BitPLRU,
-			plant: func(c *Cache, s *Snapshot) { set(s, 0, 1).Lines[5] = set(s, 0, 1).Lines[1] },
+			plant: func(c *Cache) { linesOf(c, 0, 1)[5] = linesOf(c, 0, 1)[1] },
 			want: []string{
 				`cache "L1D": slice 0 set 1 holds line 0x41 in ways 1 and 5`,
 			},
 		},
 		{
 			name: "l1/duplicate-in-invalid-way", shape: l1Shape, pol: BitPLRU,
-			plant: func(c *Cache, s *Snapshot) { set(s, 0, 2).Lines[6] = set(s, 0, 2).Lines[0] },
+			plant: func(c *Cache) { linesOf(c, 0, 2)[6] = linesOf(c, 0, 2)[0] },
 		},
 		{
 			name: "l1/duplicate-into-invalid-way", shape: l1Shape, pol: BitPLRU,
-			plant: func(c *Cache, s *Snapshot) {
-				ss := set(s, 0, 2)
-				ss.Lines[6], ss.Valid[6] = ss.Lines[0], true
+			plant: func(c *Cache) {
+				g := gsetOf(c, 0, 2)
+				linesOf(c, 0, 2)[6] = linesOf(c, 0, 2)[0]
+				c.valid[g*c.ways+6] = true
+				c.vcnt[g]++
 			},
 			want: []string{
 				`cache "L1D": slice 0 set 2 holds line 0x2 in ways 0 and 6`,
@@ -93,32 +121,26 @@ func TestAuditMessages(t *testing.T) {
 		},
 		{
 			name: "l1/bitplru-ones-mismatch", shape: l1Shape, pol: BitPLRU,
-			plant: func(c *Cache, s *Snapshot) { set(s, 0, 0).Policy[0]++ },
+			plant: func(c *Cache) { c.pol.ones[gsetOf(c, 0, 0)]++ },
 			want: []string{
 				`cache "L1D": slice 0 set 0 policy: Bit-PLRU: ones counter 5 != popcount 4`,
 			},
 		},
 		{
 			name: "l1/bitplru-all-ones", shape: l1Shape, pol: BitPLRU,
-			plant: func(c *Cache, s *Snapshot) {
-				p := set(s, 0, 1).Policy
-				for w := range p {
-					p[w] = 1
-				}
-				p[0] = uint64(c.ways)
-			},
+			plant: func(c *Cache) { setAllOnes(c, 0, 1) },
 			want: []string{
 				`cache "L1D": slice 0 set 1 policy: Bit-PLRU: all 8 MRU bits set (all-ones state must never persist)`,
 			},
 		},
 		{
 			name: "l1/several-in-one-set", shape: l1Shape, pol: BitPLRU,
-			plant: func(c *Cache, s *Snapshot) {
-				ss := set(s, 0, 0)
-				ss.Lines[2] = lineIn(c, 0, 9, 3)
-				ss.Lines[4] = ss.Lines[0]
-				ss.Lines[6] = ss.Lines[0]
-				ss.Policy[0] += 2
+			plant: func(c *Cache) {
+				lines := linesOf(c, 0, 0)
+				lines[2] = lineIn(c, 0, 9, 3)
+				lines[4] = lines[0]
+				lines[6] = lines[0]
+				c.pol.ones[gsetOf(c, 0, 0)] += 2
 			},
 			want: []string{
 				`cache "L1D": slice 0 set 0 holds line 0x0 in ways 0 and 4`,
@@ -130,14 +152,10 @@ func TestAuditMessages(t *testing.T) {
 		},
 		{
 			name: "l1/across-sets", shape: l1Shape, pol: BitPLRU,
-			plant: func(c *Cache, s *Snapshot) {
-				set(s, 0, 0).Lines[7] = lineIn(c, 0, 63, 1)
-				set(s, 0, 1).Lines[0] = set(s, 0, 1).Lines[7]
-				last := set(s, 0, 63).Policy
-				for w := range last {
-					last[w] = 1
-				}
-				last[0] = uint64(c.ways)
+			plant: func(c *Cache) {
+				linesOf(c, 0, 0)[7] = lineIn(c, 0, 63, 1)
+				linesOf(c, 0, 1)[0] = linesOf(c, 0, 1)[7]
+				setAllOnes(c, 0, 63)
 			},
 			want: []string{
 				`cache "L1D": slice 0 set 0 way 7 holds line 0x7f which maps to set 63`,
@@ -147,10 +165,10 @@ func TestAuditMessages(t *testing.T) {
 		},
 		{
 			name: "l1/treeplru-wrong-set-and-duplicate", shape: l1Shape, pol: TreePLRU,
-			plant: func(c *Cache, s *Snapshot) {
-				ss := set(s, 0, 1)
-				ss.Lines[1] = lineIn(c, 0, 0, 5)
-				ss.Lines[3] = ss.Lines[1]
+			plant: func(c *Cache) {
+				lines := linesOf(c, 0, 1)
+				lines[1] = lineIn(c, 0, 0, 5)
+				lines[3] = lines[1]
 			},
 			want: []string{
 				`cache "L1D": slice 0 set 1 way 1 holds line 0x140 which maps to set 0`,
@@ -160,9 +178,9 @@ func TestAuditMessages(t *testing.T) {
 		},
 		{
 			name: "l2/fifo-stamp-ahead", shape: l2Shape, pol: FIFO,
-			plant: func(c *Cache, s *Snapshot) {
-				p := set(s, 0, 0).Policy
-				p[1+2] = p[0] + 1
+			plant: func(c *Cache) {
+				stamps, clock := stampsOf(c, 0, 0)
+				stamps[2] = clock + 1
 			},
 			want: []string{
 				`cache "L2": slice 0 set 0 policy: FIFO: way 2 stamp 5 ahead of clock 4`,
@@ -170,10 +188,10 @@ func TestAuditMessages(t *testing.T) {
 		},
 		{
 			name: "l2/fifo-two-stamps-ahead", shape: l2Shape, pol: FIFO,
-			plant: func(c *Cache, s *Snapshot) {
-				p := set(s, 0, 1).Policy
-				p[1+1] = p[0] + 7
-				p[1+3] = p[0] + 2
+			plant: func(c *Cache) {
+				stamps, clock := stampsOf(c, 0, 1)
+				stamps[1] = clock + 7
+				stamps[3] = clock + 2
 			},
 			want: []string{
 				`cache "L2": slice 0 set 1 policy: FIFO: way 1 stamp 11 ahead of clock 4`,
@@ -181,13 +199,13 @@ func TestAuditMessages(t *testing.T) {
 		},
 		{
 			name: "l2/lru-several-across-sets", shape: l2Shape, pol: LRU,
-			plant: func(c *Cache, s *Snapshot) {
-				set(s, 0, 0).Lines[0] = lineIn(c, 0, 1023, 9)
-				p := set(s, 0, 0).Policy
-				p[1+3] = p[0] + 1
-				set(s, 0, 2).Lines[1] = set(s, 0, 2).Lines[0]
-				ss := set(s, 0, 1023)
-				ss.Lines[2], ss.Lines[3] = ss.Lines[1], ss.Lines[1]
+			plant: func(c *Cache) {
+				linesOf(c, 0, 0)[0] = lineIn(c, 0, 1023, 9)
+				stamps, clock := stampsOf(c, 0, 0)
+				stamps[3] = clock + 1
+				linesOf(c, 0, 2)[1] = linesOf(c, 0, 2)[0]
+				lines := linesOf(c, 0, 1023)
+				lines[2], lines[3] = lines[1], lines[1]
 			},
 			want: []string{
 				`cache "L2": slice 0 set 0 way 0 holds line 0x27ff which maps to set 1023`,
@@ -200,7 +218,7 @@ func TestAuditMessages(t *testing.T) {
 		},
 		{
 			name: "l2/random-wrong-set", shape: l2Shape, pol: RandomPolicy,
-			plant: func(c *Cache, s *Snapshot) { set(s, 0, 1).Lines[2] = lineIn(c, 0, 2, 0) },
+			plant: func(c *Cache) { linesOf(c, 0, 1)[2] = lineIn(c, 0, 2, 0) },
 			want: []string{
 				`cache "L2": slice 0 set 1 way 2 holds line 0x2 which maps to set 2`,
 			},
@@ -208,21 +226,21 @@ func TestAuditMessages(t *testing.T) {
 		{name: "llc/clean", shape: llcShape, pol: LRU},
 		{
 			name: "llc/wrong-slice", shape: llcShape, pol: LRU,
-			plant: func(c *Cache, s *Snapshot) { set(s, 0, 0).Lines[5] = lineIn(c, 3, 0, 0) },
+			plant: func(c *Cache) { linesOf(c, 0, 0)[5] = lineIn(c, 3, 0, 0) },
 			want: []string{
 				`cache "LLC": slice 0 set 0 way 5 holds line 0x1200 which maps to slice 3`,
 			},
 		},
 		{
 			name: "llc/wrong-set", shape: llcShape, pol: LRU,
-			plant: func(c *Cache, s *Snapshot) { set(s, 0, 1).Lines[9] = lineIn(c, 0, 9, 0) },
+			plant: func(c *Cache) { linesOf(c, 0, 1)[9] = lineIn(c, 0, 9, 0) },
 			want: []string{
 				`cache "LLC": slice 0 set 1 way 9 holds line 0x3c09 which maps to set 9`,
 			},
 		},
 		{
 			name: "llc/wrong-slice-and-set", shape: llcShape, pol: LRU,
-			plant: func(c *Cache, s *Snapshot) { set(s, 7, 1535).Lines[15] = lineIn(c, 2, 700, 4) },
+			plant: func(c *Cache) { linesOf(c, 7, 1535)[15] = lineIn(c, 2, 700, 4) },
 			want: []string{
 				`cache "LLC": slice 7 set 1535 way 15 holds line 0x122bc which maps to slice 2`,
 				`cache "LLC": slice 7 set 1535 way 15 holds line 0x122bc which maps to set 700`,
@@ -230,16 +248,16 @@ func TestAuditMessages(t *testing.T) {
 		},
 		{
 			name: "llc/duplicate", shape: llcShape, pol: LRU,
-			plant: func(c *Cache, s *Snapshot) { set(s, 0, 0).Lines[14] = set(s, 0, 0).Lines[3] },
+			plant: func(c *Cache) { linesOf(c, 0, 0)[14] = linesOf(c, 0, 0)[3] },
 			want: []string{
 				`cache "LLC": slice 0 set 0 holds line 0x7e00 in ways 3 and 14`,
 			},
 		},
 		{
 			name: "llc/stamp-ahead", shape: llcShape, pol: LRU,
-			plant: func(c *Cache, s *Snapshot) {
-				p := set(s, 7, 1535).Policy
-				p[1+15] = p[0] + 100
+			plant: func(c *Cache) {
+				stamps, clock := stampsOf(c, 7, 1535)
+				stamps[15] = clock + 100
 			},
 			want: []string{
 				`cache "LLC": slice 7 set 1535 policy: LRU: way 15 stamp 116 ahead of clock 16`,
@@ -249,29 +267,30 @@ func TestAuditMessages(t *testing.T) {
 			// Line word 2^58+L: the byte address wraps to L's, so the
 			// level audits it as L, which belongs in set (0,0).
 			name: "llc/line-word-wraps-into-its-set", shape: llcShape, pol: LRU,
-			plant: func(c *Cache, s *Snapshot) { set(s, 0, 0).Lines[8] = 1<<58 | lineIn(c, 0, 0, 40) },
+			plant: func(c *Cache) { linesOf(c, 0, 0)[8] = 1<<58 | lineIn(c, 0, 0, 40) },
 		},
 		{
 			// 2^58 ≡ 1024 (mod 1536): this word's own residue is set 0, but
 			// its wrapped byte address maps to set 512.
 			name: "llc/line-word-wraps-out-of-its-set", shape: llcShape, pol: LRU,
-			plant: func(c *Cache, s *Snapshot) { set(s, 0, 0).Lines[8] = 1<<58 | lineIn(c, 0, 512, 0) },
+			plant: func(c *Cache) { linesOf(c, 0, 0)[8] = 1<<58 | lineIn(c, 0, 512, 0) },
 			want: []string{
 				`cache "LLC": slice 0 set 0 way 8 holds line 0x400000000001a00 which maps to set 512`,
 			},
 		},
 		{
 			name: "llc/several-across-slices", shape: llcShape, pol: FIFO,
-			plant: func(c *Cache, s *Snapshot) {
-				ss := set(s, 0, 0)
-				ss.Lines[0] = lineIn(c, 5, 0, 0)
-				ss.Lines[1] = lineIn(c, 0, 3, 0)
-				ss.Lines[12] = ss.Lines[11]
-				ss.Policy[1+4] = ss.Policy[0] + 1
-				set(s, 0, 2).Lines[2] = lineIn(c, 6, 1, 2)
-				last := set(s, 7, 1535)
-				last.Lines[0], last.Lines[15] = last.Lines[15], last.Lines[0]
-				last.Lines[7] = last.Lines[15]
+			plant: func(c *Cache) {
+				lines := linesOf(c, 0, 0)
+				lines[0] = lineIn(c, 5, 0, 0)
+				lines[1] = lineIn(c, 0, 3, 0)
+				lines[12] = lines[11]
+				stamps, clock := stampsOf(c, 0, 0)
+				stamps[4] = clock + 1
+				linesOf(c, 0, 2)[2] = lineIn(c, 6, 1, 2)
+				last := linesOf(c, 7, 1535)
+				last[0], last[15] = last[15], last[0]
+				last[7] = last[15]
 			},
 			want: []string{
 				`cache "LLC": slice 0 set 0 way 0 holds line 0x1e00 which maps to slice 5`,
@@ -285,15 +304,10 @@ func TestAuditMessages(t *testing.T) {
 		},
 		{
 			name: "llc/bitplru-mismatch-and-wrong-slice", shape: llcShape, pol: BitPLRU,
-			plant: func(c *Cache, s *Snapshot) {
-				ss := set(s, 0, 1)
-				ss.Lines[4] = lineIn(c, 1, 1, 0)
-				ss.Policy[0] = 0
-				all := set(s, 7, 1535).Policy
-				for w := range all {
-					all[w] = 1
-				}
-				all[0] = uint64(c.ways)
+			plant: func(c *Cache) {
+				linesOf(c, 0, 1)[4] = lineIn(c, 1, 1, 0)
+				c.pol.ones[gsetOf(c, 0, 1)] = 0
+				setAllOnes(c, 7, 1535)
 			},
 			want: []string{
 				`cache "LLC": slice 0 set 1 way 4 holds line 0x1 which maps to slice 1`,
@@ -304,16 +318,13 @@ func TestAuditMessages(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := auditFixture(tc.shape, tc.pol)
-			if errs := c.Audit(); len(errs) != 0 {
+			parent := auditFixture(tc.shape, tc.pol)
+			if errs := parent.Audit(); len(errs) != 0 {
 				t.Fatalf("fixture fails audit before planting: %v", errs)
 			}
+			c := parent.Fork()
 			if tc.plant != nil {
-				snap := c.Snapshot()
-				tc.plant(c, &snap)
-				if err := c.Restore(snap); err != nil {
-					t.Fatalf("restore: %v", err)
-				}
+				tc.plant(c)
 			}
 			var got []string
 			for _, err := range c.Audit() {
@@ -322,6 +333,32 @@ func TestAuditMessages(t *testing.T) {
 			if !slices.Equal(got, tc.want) {
 				t.Errorf("audit findings:\n got %q\nwant %q", got, tc.want)
 			}
+			if errs := parent.Audit(); len(errs) != 0 {
+				t.Errorf("planting into the fork dirtied the parent: %v", errs)
+			}
 		})
+	}
+}
+
+// TestBitPLRUCorruptionCaught: the all-ones MRU state Bit-PLRU can never
+// reach legally must fail the policy audit of the fork it is planted into,
+// and only that fork's.
+func TestBitPLRUCorruptionCaught(t *testing.T) {
+	c := MustNew(small(BitPLRU))
+	for i := uint64(0); i < 8; i++ {
+		c.Fill(mem.PAddr(i * 0x40))
+	}
+	if errs := c.Audit(); len(errs) != 0 {
+		t.Fatalf("clean Bit-PLRU fails audit: %v", errs)
+	}
+	f := c.Fork()
+	if !f.pol.CorruptBitPLRU(0) {
+		t.Fatal("Bit-PLRU cache refused the corruption")
+	}
+	if errs := f.Audit(); len(errs) == 0 {
+		t.Fatal("audit missed the Bit-PLRU corruption")
+	}
+	if errs := c.Audit(); len(errs) != 0 {
+		t.Fatalf("corrupting the fork dirtied the parent: %v", errs)
 	}
 }

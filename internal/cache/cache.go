@@ -1,3 +1,8 @@
+// Package cache implements the memory-hierarchy substrate of the AfterImage
+// simulator: set-associative caches with pluggable replacement policies, a
+// sliced last-level cache with a Haswell-style XOR slice hash, and an
+// inclusive three-level hierarchy offering the access, flush and fill
+// operations the attacks build on.
 package cache
 
 import (
@@ -41,6 +46,9 @@ func (c Config) Validate() error {
 	if c.SizeBytes%per != 0 {
 		return fmt.Errorf("cache %q: size %d not divisible by ways*line*slices", c.Name, c.SizeBytes)
 	}
+	if err := c.Policy.CheckWays(c.Ways); err != nil {
+		return fmt.Errorf("cache %q: %w", c.Name, err)
+	}
 	return nil
 }
 
@@ -49,12 +57,12 @@ func (c Config) Validate() error {
 //
 // All per-way state lives in three contiguous arrays indexed by
 // (slice*nsets + set)*ways + way, and all replacement state lives in one
-// flat policyArray, so an access is pure index arithmetic: no per-set heap
+// flat PolicyArray, so an access is pure index arithmetic: no per-set heap
 // objects, no interface dispatch, no pointer chasing. The "global set"
 // number g = slice*nsets + set is the unit the policy engine and the
-// snapshot/audit code agree on; iteration over g visits sets in exactly the
-// slice-major order the seed implementation used, which keeps StateHash,
-// Snapshot and VisitLines bit-identical.
+// hash/audit code agree on; iteration over g visits sets in exactly the
+// slice-major order the seed implementation used, which keeps StateHash
+// and VisitLines bit-identical.
 type Cache struct {
 	cfg     Config
 	nslices int
@@ -70,8 +78,8 @@ type Cache struct {
 	lines      []uint64 // [gset*ways+way] physical line address
 	valid      []bool   // [gset*ways+way]
 	prefetched []bool   // [gset*ways+way] prefetch-installed, not yet demand-hit
-	vcnt       []int32  // [gset] popcount of valid (derived, not snapshotted)
-	pol        *policyArray
+	vcnt       []int32  // [gset] popcount of valid (derived, not hashed)
+	pol        *PolicyArray
 
 	// One-entry direct-mapped way predictor: the flat index where predLine
 	// was last seen. It caches only a LOCATION — every use re-verifies the
@@ -116,7 +124,7 @@ func New(cfg Config) (*Cache, error) {
 	c.prefetched = make([]bool, gsets*cfg.Ways)
 	c.vcnt = make([]int32, gsets)
 	// Per-set seeds reproduce the seed code's newSet(…, PolicySeed+s*1000+i).
-	c.pol = newPolicyArray(cfg.Policy, gsets, cfg.Ways, func(g int) int64 {
+	c.pol = NewPolicyArray(cfg.Policy, gsets, cfg.Ways, func(g int) int64 {
 		s, i := g/int(nsets), g%int(nsets)
 		return cfg.PolicySeed + int64(s*1000+i)
 	})
@@ -169,8 +177,9 @@ func (c *Cache) SetOf(p mem.PAddr) uint64 {
 
 // setIndex folds a line address onto a set number. The non-power-of-two
 // fold uses Lemire's fastmod (two multiplies) for line addresses below
-// 2^32 — every reachable physical address qualifies, but snapshots can
-// carry arbitrary line words, so larger values fall back to the divide.
+// 2^32 — every reachable physical address qualifies, but planted
+// corruption can carry arbitrary line words, so larger values fall back to
+// the divide.
 // Both branches compute exactly line % nsets.
 func (c *Cache) setIndex(line uint64) uint64 {
 	if c.setsPow2 {
@@ -241,7 +250,7 @@ func (c *Cache) Access(p mem.PAddr) bool {
 		i := c.predIdx
 		if c.valid[i] && c.lines[i] == line {
 			g := c.predG
-			c.pol.touch(g, i-g*c.ways)
+			c.pol.Touch(g, i-g*c.ways)
 			c.hits++
 			if c.prefetched[i] {
 				c.prefetched[i] = false
@@ -252,7 +261,7 @@ func (c *Cache) Access(p mem.PAddr) bool {
 	}
 	g, i, ok := c.lookupLine(line)
 	if ok {
-		c.pol.touch(g, i-g*c.ways)
+		c.pol.Touch(g, i-g*c.ways)
 		c.hits++
 		if c.prefetched[i] {
 			c.prefetched[i] = false
@@ -278,17 +287,17 @@ func (c *Cache) insert(line uint64, asPrefetch bool) (evicted uint64, wasValid b
 		// reduces to the tag compare; a miss goes straight to the victim.
 		for w := range lines {
 			if lines[w] == line {
-				c.pol.touch(g, w)
+				c.pol.Touch(g, w)
 				c.predLine, c.predIdx, c.predG, c.predOK = line, base+w, g, true
 				return 0, false
 			}
 		}
-		w := c.pol.victim(g)
+		w := c.pol.Victim(g)
 		i := base + w
 		evicted, wasValid = c.lines[i], true
 		c.lines[i] = line
 		c.prefetched[i] = asPrefetch
-		c.pol.insert(g, w)
+		c.pol.Insert(g, w)
 		c.predLine, c.predIdx, c.predG, c.predOK = line, i, g, true
 		return evicted, wasValid
 	}
@@ -304,7 +313,7 @@ func (c *Cache) insert(line uint64, asPrefetch bool) (evicted uint64, wasValid b
 			continue
 		}
 		if lines[w] == line {
-			c.pol.touch(g, w)
+			c.pol.Touch(g, w)
 			c.predLine, c.predIdx, c.predG, c.predOK = line, base+w, g, true
 			return 0, false
 		}
@@ -315,16 +324,16 @@ func (c *Cache) insert(line uint64, asPrefetch bool) (evicted uint64, wasValid b
 		c.valid[i] = true
 		c.vcnt[g]++
 		c.prefetched[i] = asPrefetch
-		c.pol.insert(g, empty)
+		c.pol.Insert(g, empty)
 		c.predLine, c.predIdx, c.predG, c.predOK = line, i, g, true
 		return 0, false
 	}
-	w := c.pol.victim(g)
+	w := c.pol.Victim(g)
 	i := base + w
 	evicted, wasValid = c.lines[i], true
 	c.lines[i] = line
 	c.prefetched[i] = asPrefetch
-	c.pol.insert(g, w)
+	c.pol.Insert(g, w)
 	c.predLine, c.predIdx, c.predG, c.predOK = line, i, g, true
 	return evicted, wasValid
 }
@@ -346,18 +355,18 @@ func (c *Cache) fillMissed(line uint64, asPrefetch bool) (evicted uint64, wasVal
 				c.valid[i] = true
 				c.vcnt[g]++
 				c.prefetched[i] = asPrefetch
-				c.pol.insert(g, w)
+				c.pol.Insert(g, w)
 				c.predLine, c.predIdx, c.predG, c.predOK = line, i, g, true
 				return 0, false
 			}
 		}
 	}
-	w := c.pol.victim(g)
+	w := c.pol.Victim(g)
 	i := base + w
 	evicted, wasValid = c.lines[i], true
 	c.lines[i] = line
 	c.prefetched[i] = asPrefetch
-	c.pol.insert(g, w)
+	c.pol.Insert(g, w)
 	c.predLine, c.predIdx, c.predG, c.predOK = line, i, g, true
 	return evicted, wasValid
 }

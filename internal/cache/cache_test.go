@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -184,6 +185,12 @@ func TestNonPowerOfTwoSets(t *testing.T) {
 	}
 }
 
+// onePolicy builds a one-set engine of the given kind, the shape the
+// IP-stride prefetcher's history table uses.
+func onePolicy(kind PolicyKind, ways int, seed int64) *PolicyArray {
+	return NewPolicyArray(kind, 1, ways, func(int) int64 { return seed })
+}
+
 // TestPoliciesQuick property-tests every replacement policy: victims are
 // always in range and a freshly touched way is never the immediate victim
 // (except for FIFO and Random, which ignore recency).
@@ -193,14 +200,14 @@ func TestPoliciesQuick(t *testing.T) {
 		k := k
 		f := func(touches []uint8) bool {
 			const ways = 8
-			p := NewPolicy(k, ways, 42)
+			p := onePolicy(k, ways, 42)
 			for i := 0; i < ways; i++ {
-				p.Insert(i)
+				p.Insert(0, i)
 			}
 			for _, x := range touches {
 				way := int(x) % ways
-				p.Touch(way)
-				v := p.Victim()
+				p.Touch(0, way)
+				v := p.Victim(0)
 				if v < 0 || v >= ways {
 					return false
 				}
@@ -217,41 +224,88 @@ func TestPoliciesQuick(t *testing.T) {
 }
 
 func TestBitPLRUResetSemantics(t *testing.T) {
-	p := NewBitPLRU(4)
+	p := onePolicy(BitPLRU, 4, 0)
 	for i := 0; i < 4; i++ {
-		p.Insert(i)
+		p.Insert(0, i)
 	}
 	// Inserting way 3 saturated the bits and reset all but 3.
-	if v := p.Victim(); v != 0 {
+	if v := p.Victim(0); v != 0 {
 		t.Fatalf("victim after saturation = %d, want 0", v)
 	}
-	p.Touch(0)
-	if v := p.Victim(); v != 1 {
+	p.Touch(0, 0)
+	if v := p.Victim(0); v != 1 {
 		t.Fatalf("victim after touch(0) = %d, want 1", v)
 	}
 }
 
+// TestTreePLRUCycles: evicting and refilling the victim visits every way,
+// up to the widest tree that packs into one word.
 func TestTreePLRUCycles(t *testing.T) {
-	p := NewPolicy(TreePLRU, 4, 0)
-	seen := map[int]bool{}
-	for i := 0; i < 16; i++ {
-		v := p.Victim()
-		seen[v] = true
-		p.Insert(v)
-	}
-	if len(seen) != 4 {
-		t.Fatalf("tree-PLRU visited %d/4 ways over 16 evictions", len(seen))
+	for _, ways := range []int{4, maxTreeWays} {
+		p := onePolicy(TreePLRU, ways, 0)
+		seen := map[int]bool{}
+		for i := 0; i < 4*ways; i++ {
+			v := p.Victim(0)
+			seen[v] = true
+			p.Insert(0, v)
+		}
+		if len(seen) != ways {
+			t.Fatalf("tree-PLRU visited %d/%d ways over %d evictions", len(seen), ways, 4*ways)
+		}
 	}
 }
 
 func TestPolicyNames(t *testing.T) {
 	for _, k := range []PolicyKind{LRU, FIFO, BitPLRU, TreePLRU, RandomPolicy} {
-		if NewPolicy(k, 4, 0).Name() == "" {
+		if onePolicy(k, 4, 0).name() == "" {
 			t.Fatalf("%v has empty name", k)
 		}
 		if k.String() == "" {
 			t.Fatalf("%v has empty kind string", k)
 		}
+	}
+}
+
+// TestPolicyWidthBoundary: Tree-PLRU packs a set's tree into one word, so a
+// cache config takes at most 64 Tree-PLRU ways; every other policy takes
+// any width, and New fails on exactly the configs Validate rejects.
+func TestPolicyWidthBoundary(t *testing.T) {
+	cases := []struct {
+		pol  PolicyKind
+		ways int
+		ok   bool
+	}{
+		{TreePLRU, 64, true},
+		{TreePLRU, 65, false},
+		{LRU, 65, true},
+		{FIFO, 65, true},
+		{BitPLRU, 65, true},
+		{RandomPolicy, 65, true},
+		{PolicyKind(99), 4, false},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%v/%d", tc.pol, tc.ways), func(t *testing.T) {
+			cfg := Config{Name: "w", SizeBytes: 4 * 64 * uint64(tc.ways), Ways: tc.ways, LineSize: 64, Policy: tc.pol}
+			verr := cfg.Validate()
+			if (verr == nil) != tc.ok {
+				t.Fatalf("Validate() = %v, want ok=%v", verr, tc.ok)
+			}
+			c, err := New(cfg)
+			if (err == nil) != tc.ok {
+				t.Fatalf("New() error = %v, want ok=%v", err, tc.ok)
+			}
+			if c == nil {
+				return
+			}
+			// Overfill set 0 so the policy picks victims across its full
+			// width; an out-of-range victim would panic.
+			for i := uint64(0); i < uint64(2*tc.ways); i++ {
+				c.Fill(mem.PAddr(i * 4 * 64))
+			}
+			if errs := c.Audit(); len(errs) != 0 {
+				t.Fatalf("audit: %v", errs)
+			}
+		})
 	}
 }
 

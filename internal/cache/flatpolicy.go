@@ -6,105 +6,151 @@ import (
 	"afterimage/internal/detrand"
 )
 
-// policyArray is the flattened per-set replacement state of one cache
-// level: one engine instance holds the state of EVERY set in contiguous
-// slices, indexed by global set number (slice-major, g = slice*nsets+set).
-// It replaces the seed layout of one heap-allocated Policy object per set,
-// eliminating both the per-set allocations and the per-access interface
-// dispatch, while implementing the exact same state machines — Save/Load
-// layouts, victim choice and audit rules are bit-compatible with the
-// standalone policies in replacement.go (which remain the reference
-// implementations, still used by the prefetcher's history table and by the
-// equivalence tests).
-type policyArray struct {
+// PolicyKind enumerates the built-in replacement policies.
+type PolicyKind int
+
+const (
+	// LRU is true least-recently-used.
+	LRU PolicyKind = iota
+	// FIFO evicts in insertion order, ignoring hits.
+	FIFO
+	// BitPLRU is the MRU-bit approximation of LRU that §4.5 identifies in
+	// the IP-stride prefetcher.
+	BitPLRU
+	// TreePLRU is the binary-tree approximation common in cache ways.
+	TreePLRU
+	// RandomPolicy evicts a pseudo-random way (seeded, deterministic).
+	RandomPolicy
+)
+
+// String names the kind.
+func (k PolicyKind) String() string {
+	switch k {
+	case LRU:
+		return "LRU"
+	case FIFO:
+		return "FIFO"
+	case BitPLRU:
+		return "Bit-PLRU"
+	case TreePLRU:
+		return "Tree-PLRU"
+	case RandomPolicy:
+		return "Random"
+	default:
+		return fmt.Sprintf("PolicyKind(%d)", int(k))
+	}
+}
+
+// maxTreeWays is the widest Tree-PLRU set the engine builds: a set's tree
+// packs into one word, node i at bit i, so it has at most 64 nodes.
+const maxTreeWays = 64
+
+// CheckWays reports whether the engine can build policy k over sets of the
+// given width: the kind must be a built-in one, and Tree-PLRU takes at most
+// 64 ways. Config.Validate and the prefetcher's IPStrideConfig.Validate
+// both apply it.
+func (k PolicyKind) CheckWays(ways int) error {
+	switch k {
+	case LRU, FIFO, BitPLRU, RandomPolicy:
+		return nil
+	case TreePLRU:
+		if ways > maxTreeWays {
+			return fmt.Errorf("%v supports at most %d ways, got %d", k, maxTreeWays, ways)
+		}
+		return nil
+	default:
+		return fmt.Errorf("unknown replacement policy %v", k)
+	}
+}
+
+// PolicyArray is the replacement engine: the state of one policy for a
+// number of sets, held in contiguous slices indexed by set number g. A
+// cache level keeps one engine over all its sets (g = slice*nsets+set),
+// and the IP-stride prefetcher's history table is a one-set engine. There
+// are no per-set objects and no interface dispatch on the access path.
+type PolicyArray struct {
 	kind PolicyKind
 	ways int
 
 	// LRU and FIFO: a virtual clock per set and one stamp per way
 	// (last-touch time for LRU, insertion time for FIFO).
-	clocks []uint64 // [gset]
-	stamps []uint64 // [gset*ways+way]
+	clocks []uint64 // [g]
+	stamps []uint64 // [g*ways+way]
 
 	// BitPLRU: one MRU bit per way plus the ones count per set.
-	mru  []bool  // [gset*ways+way]
-	ones []int32 // [gset]
+	mru  []bool  // [g*ways+way]
+	ones []int32 // [g]
 
-	// TreePLRU: the internal nodes of a complete binary tree per set;
-	// tnodes is the round-up power of two of ways (bits 1..tnodes-1 used).
-	// When the tree fits a machine word (tnodes ≤ 64, i.e. ways ≤ 64 —
-	// every modelled cache), the nodes are packed one word per set with
-	// node i at bit i, and a touch is two precomputed masks instead of a
-	// root walk; larger trees fall back to the per-node bool slice.
-	tbits   []bool   // [gset*tnodes+node] (only when !tpacked)
-	twords  []uint64 // [gset] packed tree (only when tpacked)
-	tsetM   []uint64 // [way] bits a touch of this way sets
-	tclrM   []uint64 // [way] bits a touch of this way clears
-	tpacked bool
-	tnodes  int
+	// TreePLRU: the internal nodes of a complete binary tree per set,
+	// packed one word per set with node i at bit i; tnodes is the round-up
+	// power of two of ways (nodes 1..tnodes-1 used). A touch is two
+	// precomputed masks instead of a walk from the root.
+	twords []uint64 // [g]
+	tsetM  []uint64 // [way] bits a touch of this way sets
+	tclrM  []uint64 // [way] bits a touch of this way clears
+	tnodes int
 
-	// Random: one counting source per set, seeded exactly as the seed code
-	// seeded its per-set randomPolicy instances.
-	srcs []*detrand.Source // [gset]
+	// Random: one counting source per set.
+	srcs []*detrand.Source // [g]
 }
 
-// newPolicyArray builds the flat engine for gsets sets of the given kind.
-// seedOf must reproduce the per-set seed the seed implementation used
-// (PolicySeed + slice*1000 + set); only RandomPolicy consumes it.
-func newPolicyArray(kind PolicyKind, gsets, ways int, seedOf func(g int) int64) *policyArray {
-	pa := &policyArray{kind: kind, ways: ways}
+// NewPolicyArray builds the engine for sets sets of the given kind and
+// width. It panics on a kind and width CheckWays rejects. seedOf gives set
+// g's seed; only RandomPolicy consumes it.
+func NewPolicyArray(kind PolicyKind, sets, ways int, seedOf func(g int) int64) *PolicyArray {
+	if err := kind.CheckWays(ways); err != nil {
+		panic("cache: " + err.Error())
+	}
+	pa := &PolicyArray{kind: kind, ways: ways}
 	switch kind {
 	case LRU, FIFO:
-		pa.clocks = make([]uint64, gsets)
-		pa.stamps = make([]uint64, gsets*ways)
+		pa.clocks = make([]uint64, sets)
+		pa.stamps = make([]uint64, sets*ways)
 	case BitPLRU:
-		pa.mru = make([]bool, gsets*ways)
-		pa.ones = make([]int32, gsets)
+		pa.mru = make([]bool, sets*ways)
+		pa.ones = make([]int32, sets)
 	case TreePLRU:
 		n := 1
 		for n < ways {
 			n <<= 1
 		}
 		pa.tnodes = n
-		if n <= 64 {
-			pa.tpacked = true
-			pa.twords = make([]uint64, gsets)
-			pa.tsetM = make([]uint64, ways)
-			pa.tclrM = make([]uint64, ways)
-			for w := 0; w < ways; w++ {
-				idx := n + w
-				for idx > 1 {
-					parent := idx / 2
-					if idx%2 == 0 {
-						pa.tsetM[w] |= 1 << uint(parent)
-					} else {
-						pa.tclrM[w] |= 1 << uint(parent)
-					}
-					idx = parent
+		pa.twords = make([]uint64, sets)
+		pa.tsetM = make([]uint64, ways)
+		pa.tclrM = make([]uint64, ways)
+		for w := 0; w < ways; w++ {
+			idx := n + w
+			for idx > 1 {
+				parent := idx / 2
+				if idx%2 == 0 {
+					pa.tsetM[w] |= 1 << uint(parent)
+				} else {
+					pa.tclrM[w] |= 1 << uint(parent)
 				}
+				idx = parent
 			}
-		} else {
-			pa.tbits = make([]bool, gsets*n)
 		}
 	case RandomPolicy:
-		pa.srcs = make([]*detrand.Source, gsets)
+		pa.srcs = make([]*detrand.Source, sets)
 		for g := range pa.srcs {
 			pa.srcs[g] = detrand.NewSource(seedOf(g))
 		}
-	default:
-		panic(fmt.Sprintf("cache: unknown policy kind %v", kind))
 	}
 	return pa
 }
 
-func (pa *policyArray) name() string { return PolicyKind(pa.kind).String() }
+func (pa *PolicyArray) name() string { return pa.kind.String() }
 
-// touch records a hit on way w of global set g.
-func (pa *policyArray) touch(g, w int) {
+// Touch records a hit on way w of set g.
+func (pa *PolicyArray) Touch(g, w int) {
 	switch pa.kind {
 	case LRU:
 		pa.clocks[g]++
 		pa.stamps[g*pa.ways+w] = pa.clocks[g]
 	case BitPLRU:
+		// A touch sets the way's bit; when that would make all bits one,
+		// every other bit is cleared first (the textbook Bit-PLRU, which
+		// reproduces the eviction patterns of Figures 8a and 8b).
 		mru := pa.mru[g*pa.ways : (g+1)*pa.ways]
 		if !mru[w] {
 			pa.ones[g]++
@@ -118,25 +164,15 @@ func (pa *policyArray) touch(g, w int) {
 			pa.ones[g] = 1
 		}
 	case TreePLRU:
-		if pa.tpacked {
-			pa.twords[g] = (pa.twords[g] &^ pa.tclrM[w]) | pa.tsetM[w]
-			return
-		}
-		tbits := pa.tbits[g*pa.tnodes : (g+1)*pa.tnodes]
-		idx := pa.tnodes + w
-		for idx > 1 {
-			parent := idx / 2
-			tbits[parent] = idx%2 == 0
-			idx = parent
-		}
+		pa.twords[g] = (pa.twords[g] &^ pa.tclrM[w]) | pa.tsetM[w]
 	case FIFO, RandomPolicy:
 		// recency-blind
 	}
 }
 
-// victim selects the way to evict from global set g without changing state
-// (except RandomPolicy, which consumes one source draw like the seed code).
-func (pa *policyArray) victim(g int) int {
+// Victim selects the way to evict from set g without changing state,
+// except that RandomPolicy consumes one source draw.
+func (pa *PolicyArray) Victim(g int) int {
 	switch pa.kind {
 	case LRU, FIFO:
 		stamps := pa.stamps[g*pa.ways : (g+1)*pa.ways]
@@ -148,45 +184,30 @@ func (pa *policyArray) victim(g int) int {
 		}
 		return best
 	case BitPLRU:
+		// The lowest-indexed way whose bit is clear.
 		mru := pa.mru[g*pa.ways : (g+1)*pa.ways]
 		for i := range mru {
 			if !mru[i] {
 				return i
 			}
 		}
-		return 0 // unreachable: touch never leaves all bits set
+		return 0 // unreachable: Touch never leaves all bits set
 	case TreePLRU:
-		var v int
-		if pa.tpacked {
-			word := pa.twords[g]
-			idx := 1
-			for idx < pa.tnodes {
-				idx = 2*idx + int((word>>uint(idx))&1)
-			}
-			v = idx - pa.tnodes
-		} else {
-			tbits := pa.tbits[g*pa.tnodes : (g+1)*pa.tnodes]
-			idx := 1
-			for idx < pa.tnodes {
-				if tbits[idx] {
-					idx = 2*idx + 1
-				} else {
-					idx = 2 * idx
-				}
-			}
-			v = idx - pa.tnodes
+		word := pa.twords[g]
+		idx := 1
+		for idx < pa.tnodes {
+			idx = 2*idx + int((word>>uint(idx))&1)
 		}
-		if v >= pa.ways {
-			v = pa.ways - 1
-		}
-		return v
+		// Widths that are not a power of two re-map leaves past the last
+		// way onto it.
+		return min(idx-pa.tnodes, pa.ways-1)
 	default: // RandomPolicy
 		return int(pa.srcs[g].Int63() % int64(pa.ways))
 	}
 }
 
-// insert records that way w of global set g was (re)filled.
-func (pa *policyArray) insert(g, w int) {
+// Insert records that way w of set g was (re)filled.
+func (pa *PolicyArray) Insert(g, w int) {
 	switch pa.kind {
 	case FIFO:
 		pa.clocks[g]++
@@ -194,63 +215,23 @@ func (pa *policyArray) insert(g, w int) {
 	case RandomPolicy:
 		// stateless
 	default:
-		pa.touch(g, w)
+		pa.Touch(g, w)
 	}
 }
 
-// save serialises set g's replacement state in the layout of the matching
-// standalone policy, so snapshots taken before and after the flattening are
-// interchangeable and StateHash digests stay bit-identical.
-func (pa *policyArray) save(g int) []uint64 {
-	switch pa.kind {
-	case LRU, FIFO:
-		out := make([]uint64, 1+pa.ways)
-		out[0] = pa.clocks[g]
-		copy(out[1:], pa.stamps[g*pa.ways:(g+1)*pa.ways])
-		return out
-	case BitPLRU:
-		out := make([]uint64, 1+pa.ways)
-		out[0] = uint64(pa.ones[g])
-		base := g * pa.ways
-		for i := 0; i < pa.ways; i++ {
-			if pa.mru[base+i] {
-				out[1+i] = 1
-			}
-		}
-		return out
-	case TreePLRU:
-		out := make([]uint64, pa.tnodes)
-		if pa.tpacked {
-			word := pa.twords[g]
-			for i := range out {
-				out[i] = (word >> uint(i)) & 1
-			}
-			return out
-		}
-		base := g * pa.tnodes
-		for i := range out {
-			if pa.tbits[base+i] {
-				out[i] = 1
-			}
-		}
-		return out
-	default: // RandomPolicy
-		return []uint64{pa.srcs[g].Draws()}
-	}
-}
-
-// saveInto is save without the allocation: it appends set g's state to dst
-// (for the hash path, which discards the words immediately).
-func (pa *policyArray) saveInto(dst []uint64, g int) []uint64 {
+// SaveInto appends set g's replacement state to dst as words, in the
+// layout the state hash folds: [clock, stamps...] for LRU and FIFO,
+// [ones, bits...] for Bit-PLRU, one 0/1 word per tree node (node 0
+// included) for Tree-PLRU, and [draws] for Random.
+func (pa *PolicyArray) SaveInto(dst []uint64, g int) []uint64 {
 	switch pa.kind {
 	case LRU, FIFO:
 		dst = append(dst, pa.clocks[g])
 		return append(dst, pa.stamps[g*pa.ways:(g+1)*pa.ways]...)
 	case BitPLRU:
 		dst = append(dst, uint64(pa.ones[g]))
-		base := g * pa.ways
-		for i := 0; i < pa.ways; i++ {
-			if pa.mru[base+i] {
+		for _, b := range pa.mru[g*pa.ways : (g+1)*pa.ways] {
+			if b {
 				dst = append(dst, 1)
 			} else {
 				dst = append(dst, 0)
@@ -258,20 +239,9 @@ func (pa *policyArray) saveInto(dst []uint64, g int) []uint64 {
 		}
 		return dst
 	case TreePLRU:
-		if pa.tpacked {
-			word := pa.twords[g]
-			for i := 0; i < pa.tnodes; i++ {
-				dst = append(dst, (word>>uint(i))&1)
-			}
-			return dst
-		}
-		base := g * pa.tnodes
+		word := pa.twords[g]
 		for i := 0; i < pa.tnodes; i++ {
-			if pa.tbits[base+i] {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
+			dst = append(dst, (word>>uint(i))&1)
 		}
 		return dst
 	default: // RandomPolicy
@@ -279,44 +249,12 @@ func (pa *policyArray) saveInto(dst []uint64, g int) []uint64 {
 	}
 }
 
-// load adopts previously saved state for set g verbatim — like the
-// standalone policies, no sanitisation, so corrupted saves stick and audit
-// observes them.
-func (pa *policyArray) load(g int, state []uint64) {
-	switch pa.kind {
-	case LRU, FIFO:
-		pa.clocks[g] = state[0]
-		copy(pa.stamps[g*pa.ways:(g+1)*pa.ways], state[1:])
-	case BitPLRU:
-		pa.ones[g] = int32(state[0])
-		base := g * pa.ways
-		for i := 0; i < pa.ways; i++ {
-			pa.mru[base+i] = state[1+i] != 0
-		}
-	case TreePLRU:
-		if pa.tpacked {
-			var word uint64
-			for i := 0; i < pa.tnodes; i++ {
-				if state[i] != 0 {
-					word |= 1 << uint(i)
-				}
-			}
-			pa.twords[g] = word
-			return
-		}
-		base := g * pa.tnodes
-		for i := 0; i < pa.tnodes; i++ {
-			pa.tbits[base+i] = state[i] != 0
-		}
-	default: // RandomPolicy
-		pa.srcs[g].Restore(state[0])
-	}
-}
-
-// audit checks set g's structural invariants, mirroring the standalone
-// policies' Audit rules (including the exact error strings, which the
-// fault-injection tests match on).
-func (pa *policyArray) audit(g int) error {
+// Audit checks set g's structural invariants and describes the first
+// violation, or returns nil. LRU and FIFO stamps never run ahead of their
+// set's clock; a Bit-PLRU ones counter matches the population count, and
+// at least one MRU bit is always clear (Touch resets the all-ones state
+// eagerly, never stores it). Tree and Random states are always legal.
+func (pa *PolicyArray) Audit(g int) error {
 	switch pa.kind {
 	case LRU, FIFO:
 		base := g * pa.ways
@@ -327,10 +265,9 @@ func (pa *policyArray) audit(g int) error {
 		}
 		return nil
 	case BitPLRU:
-		base := g * pa.ways
 		pop := 0
-		for i := 0; i < pa.ways; i++ {
-			if pa.mru[base+i] {
+		for _, b := range pa.mru[g*pa.ways : (g+1)*pa.ways] {
+			if b {
 				pop++
 			}
 		}
@@ -346,9 +283,9 @@ func (pa *policyArray) audit(g int) error {
 	}
 }
 
-// sound reports whether audit(g) would return nil, without building an
+// sound reports whether Audit(g) would return nil, without building an
 // error: the per-set fast path of Cache.Audit.
-func (pa *policyArray) sound(g int) bool {
+func (pa *PolicyArray) sound(g int) bool {
 	switch pa.kind {
 	case LRU, FIFO:
 		clock := pa.clocks[g]
@@ -371,31 +308,17 @@ func (pa *policyArray) sound(g int) bool {
 	}
 }
 
-// setPolicyView adapts one global set of a policyArray to the Policy
-// interface, so PolicyAt keeps handing fault injection and tests a mutable
-// per-set policy object after the flattening.
-type setPolicyView struct {
-	pa *policyArray
-	g  int
-}
-
-func (v *setPolicyView) Touch(way int)       { v.pa.touch(v.g, way) }
-func (v *setPolicyView) Victim() int         { return v.pa.victim(v.g) }
-func (v *setPolicyView) Insert(way int)      { v.pa.insert(v.g, way) }
-func (v *setPolicyView) Name() string        { return v.pa.name() }
-func (v *setPolicyView) Save() []uint64      { return v.pa.save(v.g) }
-func (v *setPolicyView) Load(state []uint64) { v.pa.load(v.g, state) }
-func (v *setPolicyView) Audit() error        { return v.pa.audit(v.g) }
-
-// corruptViewBitPLRU is CorruptBitPLRU for a flattened set view.
-func corruptViewBitPLRU(v *setPolicyView) bool {
-	if v.pa.kind != BitPLRU || v.pa.ways == 0 {
+// CorruptBitPLRU forces set g into the forbidden all-ones state (every MRU
+// bit set, counter agreeing), which Touch can never produce and Audit must
+// flag. It reports false when the engine is not Bit-PLRU.
+func (pa *PolicyArray) CorruptBitPLRU(g int) bool {
+	if pa.kind != BitPLRU {
 		return false
 	}
-	base := v.g * v.pa.ways
-	for i := 0; i < v.pa.ways; i++ {
-		v.pa.mru[base+i] = true
+	mru := pa.mru[g*pa.ways : (g+1)*pa.ways]
+	for i := range mru {
+		mru[i] = true
 	}
-	v.pa.ones[v.g] = int32(v.pa.ways)
+	pa.ones[g] = int32(pa.ways)
 	return true
 }

@@ -53,9 +53,9 @@ func TestHierarchyForkBitIdentical(t *testing.T) {
 }
 
 // TestCacheForkDropsWayPredictor: Fork resets the one-entry way-predictor
-// memo exactly as Restore does. The memo caches only a location, so its
-// absence must not change observable state — verified by the hash equality
-// in TestHierarchyForkBitIdentical; here we pin the reset itself.
+// memo. The memo caches only a location, so its absence must not change
+// observable state — verified by the hash equality in
+// TestHierarchyForkBitIdentical; here we pin the reset itself.
 func TestCacheForkDropsWayPredictor(t *testing.T) {
 	h := forkTestHierarchy(t)
 	pa := mem.PAddr(64) * mem.LineSize
@@ -96,5 +96,70 @@ func TestCacheForkIndependence(t *testing.T) {
 	h.Load(mem.PAddr(9000) * mem.LineSize)
 	if hierarchyHash(f) != fAfter {
 		t.Fatal("parent activity mutated the fork")
+	}
+}
+
+// TestCacheForkAllPolicies forks a populated cache under every replacement
+// policy, so the clone of each policy's state (LRU and FIFO stamps,
+// Bit-PLRU bits, Tree-PLRU words, Random sources at their draw position)
+// is exercised: the fork hashes as its parent at rest, an identical access
+// stream gives identical hits and hashes, divergence on either side is
+// invisible to the other, and both audits stay clean.
+func TestCacheForkAllPolicies(t *testing.T) {
+	// touch accesses p and fills it on a miss, reporting the hit.
+	touch := func(c *Cache, p mem.PAddr) bool {
+		if c.Access(p) {
+			return true
+		}
+		c.Fill(p)
+		return false
+	}
+	for _, pol := range []PolicyKind{LRU, FIFO, BitPLRU, TreePLRU, RandomPolicy} {
+		t.Run(pol.String(), func(t *testing.T) {
+			c := MustNew(small(pol))
+			for i := uint64(0); i < 40; i++ {
+				touch(c, mem.PAddr(i*0x240))
+			}
+			f := c.Fork()
+			if f.StateHash() != c.StateHash() {
+				t.Fatal("fork hash differs from parent at rest")
+			}
+
+			// 97 lines over 16 sets of 4 ways: the stream keeps evicting,
+			// so every victim choice is compared.
+			for i := uint64(0); i < 400; i++ {
+				p := mem.PAddr(i * 7 % 97 * 0x40)
+				if a, b := touch(c, p), touch(f, p); a != b {
+					t.Fatalf("access %d (%#x): parent hit=%v, fork hit=%v", i, uint64(p), a, b)
+				}
+			}
+			if f.StateHash() != c.StateHash() {
+				t.Fatal("fork diverged from parent under an identical stream")
+			}
+
+			before := c.StateHash()
+			for i := uint64(0); i < 64; i++ {
+				touch(f, mem.PAddr(0x80000+i*0x40))
+			}
+			if c.StateHash() != before {
+				t.Fatal("fork activity mutated the parent")
+			}
+			forked := f.StateHash()
+			if forked == before {
+				t.Fatal("fork hash unchanged by its own activity")
+			}
+			for i := uint64(0); i < 64; i++ {
+				touch(c, mem.PAddr(0x90000+i*0x40))
+			}
+			if f.StateHash() != forked {
+				t.Fatal("parent activity mutated the fork")
+			}
+
+			for name, x := range map[string]*Cache{"parent": c, "fork": f} {
+				if errs := x.Audit(); len(errs) != 0 {
+					t.Fatalf("%s fails audit: %v", name, errs)
+				}
+			}
+		})
 	}
 }

@@ -218,27 +218,6 @@ func (h *Hierarchy) Audit() []error {
 	return errs
 }
 
-// HierarchySnapshot captures all three levels.
-type HierarchySnapshot struct {
-	L1, L2, LLC Snapshot
-}
-
-// Snapshot captures the full hierarchy state.
-func (h *Hierarchy) Snapshot() HierarchySnapshot {
-	return HierarchySnapshot{L1: h.L1.Snapshot(), L2: h.L2.Snapshot(), LLC: h.LLC.Snapshot()}
-}
-
-// Restore adopts a hierarchy snapshot.
-func (h *Hierarchy) Restore(snap HierarchySnapshot) error {
-	if err := h.L1.Restore(snap.L1); err != nil {
-		return err
-	}
-	if err := h.L2.Restore(snap.L2); err != nil {
-		return err
-	}
-	return h.LLC.Restore(snap.LLC)
-}
-
 // CorruptInclusivity silently drops the first valid L1 line from the LLC
 // only, breaking the inclusion invariant without touching the inner levels
 // — the kind of desync a back-invalidation bug would cause. It reports

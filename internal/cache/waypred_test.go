@@ -9,9 +9,8 @@ import (
 // Boundary tests for the one-entry way predictor in front of the set scan.
 // The predictor only caches a location — every use re-verifies tag and
 // validity and performs the same mutations the scan would — so these tests
-// pin the hazard cases: stale predictions after removal, restore, and
-// conflict eviction, and behaviour under deliberately corrupted (duplicate)
-// state.
+// pin the hazard cases: stale predictions after removal and conflict
+// eviction, and behaviour under deliberately corrupted (duplicate) state.
 
 // aliasAddrs returns n addresses that all map to the same slice/set as p.
 func aliasAddrs(c *Cache, p mem.PAddr, n int) []mem.PAddr {
@@ -44,20 +43,6 @@ func TestWayPredictorBoundaries(t *testing.T) {
 			c.Fill(p)
 			if !c.Access(p) {
 				t.Fatal("refilled line missed")
-			}
-		}},
-		{"stale after restore", func(t *testing.T, c *Cache) {
-			empty := c.Snapshot()
-			c.Fill(p)
-			c.Access(p) // trains the predictor on p's way
-			if err := c.Restore(empty); err != nil {
-				t.Fatal(err)
-			}
-			if c.predOK {
-				t.Fatal("predictor survived Restore")
-			}
-			if c.Access(p) {
-				t.Fatal("hit in a restored-empty cache")
 			}
 		}},
 		{"stale after conflict eviction", func(t *testing.T, c *Cache) {
@@ -101,30 +86,29 @@ func TestWayPredictorBoundaries(t *testing.T) {
 				t.Fatalf("hits=%d misses=%d, want 16/0", hits, misses)
 			}
 		}},
-		{"restored duplicate state keeps first-way semantics", func(t *testing.T, c *Cache) {
-			c.Fill(p)
-			snap := c.Snapshot()
-			// Corrupt the snapshot: duplicate p's line into a second way of
-			// its set (what a corrupted restore could legally carry).
-			si, set := c.SliceOf(p), c.SetOf(p)
-			ss := &snap.Sets[si][set]
+		{"duplicate state keeps first-way semantics", func(t *testing.T, parent *Cache) {
+			parent.Fill(p)
+			parent.Access(p) // arms the parent's predictor on p's way
+			c := parent.Fork()
+			// Corrupt the fork: duplicate p's line into a second way of its
+			// set, as a fault in the fill path could.
+			g := c.SliceOf(p)*int(c.NumSets()) + int(c.SetOf(p))
+			base := g * c.ways
 			var src int
-			for w, v := range ss.Valid {
-				if v {
+			for w := 0; w < c.ways; w++ {
+				if c.valid[base+w] {
 					src = w
 					break
 				}
 			}
-			dst := (src + 1) % len(ss.Lines)
-			ss.Lines[dst] = ss.Lines[src]
-			ss.Valid[dst] = true
-			if err := c.Restore(snap); err != nil {
-				t.Fatal(err)
-			}
+			dst := (src + 1) % c.ways
+			c.lines[base+dst] = c.lines[base+src]
+			c.valid[base+dst] = true
+			c.vcnt[g]++
 			if errs := c.Audit(); len(errs) == 0 {
 				t.Fatal("audit missed the duplicate ways")
 			}
-			// The predictor was reset by Restore, so accesses resolve by scan
+			// The predictor was reset by Fork, so accesses resolve by scan
 			// order (first matching way) — and stay consistent when repeated.
 			if !c.Access(p) || !c.Access(p) {
 				t.Fatal("duplicate-state access missed")

@@ -1,10 +1,11 @@
 // Package detrand wraps math/rand sources with draw counting so RNG state
-// becomes snapshottable. math/rand exposes no way to serialise a generator's
-// position, but every generator here is (a) seeded from a known value and
-// (b) consumed strictly sequentially, so its full state is (seed, number of
-// draws): restoring is reseeding and discarding that many draws. This is what
-// lets Machine.Snapshot capture the jitter/noise RNGs and Machine.Restore
-// resume them mid-stream, keeping replayed runs bit-identical.
+// becomes hashable and clonable. math/rand exposes no way to read or copy a
+// generator's position, but every generator here is (a) seeded from a known
+// value and (b) consumed strictly sequentially, so its full state is (seed,
+// number of draws): cloning is reseeding and discarding that many draws.
+// This is what lets Machine.StateHash digest the jitter/noise RNG positions
+// and Machine.Fork resume them mid-stream, keeping forked runs
+// bit-identical.
 //
 // The wrapper is stream-identical to rand.New(rand.NewSource(seed)): it
 // implements rand.Source64 and delegates both Int63 and Uint64 to the
@@ -31,7 +32,7 @@ func NewSource(seed int64) *Source {
 //
 // Callers must not use Rand.Read: it buffers bytes internally, which the
 // (seed, draws) state does not capture. Every other Rand method consumes
-// whole source draws and restores exactly.
+// whole source draws and clones exactly.
 func New(seed int64) (*rand.Rand, *Source) {
 	s := NewSource(seed)
 	return rand.New(s), s
@@ -60,26 +61,19 @@ func (s *Source) Seed(seed int64) {
 func (s *Source) SeedValue() int64 { return s.seed }
 
 // Draws reports how many values have been drawn since the last (re)seed —
-// together with the seed, the source's complete serialisable state.
+// together with the seed, the source's complete state.
 func (s *Source) Draws() uint64 { return s.draws }
 
-// Restore rewinds (or fast-forwards) the source to an absolute position:
-// reseed with the original seed, then discard draws values. Afterwards the
-// stream continues exactly as it did when Draws() last reported that count.
-func (s *Source) Restore(draws uint64) {
-	s.src.Seed(s.seed)
-	for i := uint64(0); i < draws; i++ {
-		s.src.Uint64()
-	}
-	s.draws = draws
-}
-
-// Clone returns an independent source at the same stream position: same
-// seed, same draw count, separate underlying generator. The clone and the
-// original produce identical subsequent streams without sharing state —
-// the primitive Machine.Fork uses to make forks RNG-independent.
+// Clone returns an independent source at the same stream position: the
+// same seed, reseeded separately and advanced by the same number of draws.
+// The clone and the original produce identical subsequent streams without
+// sharing state — the primitive Machine.Fork uses to make forks
+// RNG-independent.
 func (s *Source) Clone() *Source {
 	c := NewSource(s.seed)
-	c.Restore(s.draws)
+	for i := uint64(0); i < s.draws; i++ {
+		c.src.Uint64()
+	}
+	c.draws = s.draws
 	return c
 }

@@ -34,8 +34,8 @@ type Builder struct {
 	// (slice*nsets+set): classification and lookup are pure index arithmetic
 	// instead of a hashed map over a 128-bit key, which profiling showed
 	// dominated the whole Prime+Probe benchmark.
-	groups [][]mem.VAddr
-	nsets  uint64
+	groups  [][]mem.VAddr
+	nsets   uint64
 	primeIP uint64
 	probeIP uint64
 }

@@ -3,7 +3,6 @@ package prefetcher
 import (
 	"fmt"
 
-	"afterimage/internal/cache"
 	"afterimage/internal/mem"
 	"afterimage/internal/statehash"
 )
@@ -47,7 +46,7 @@ func (p *IPStride) Audit() []error {
 			errs = append(errs, fmt.Errorf("ipstride: slots %d and %d share lookup key (tag %#x)", i, j, e.Tag))
 		}
 	}
-	if err := p.policy.Audit(); err != nil {
+	if err := p.policy.Audit(0); err != nil {
 		errs = append(errs, fmt.Errorf("ipstride: policy: %w", err))
 	}
 	if p.lastIssue.valid && p.lastIssue.base.Frame() != p.lastIssue.target.Frame() {
@@ -73,7 +72,7 @@ func (p *IPStride) CorruptConfidence(i int, conf int) {
 
 // CorruptPLRU forces the history table's Bit-PLRU into the forbidden
 // all-ones state. It reports false when the table uses another policy.
-func (p *IPStride) CorruptPLRU() bool { return cache.CorruptBitPLRU(p.policy) }
+func (p *IPStride) CorruptPLRU() bool { return p.policy.CorruptBitPLRU(0) }
 
 // CorruptCrossFrame poisons the issued-prefetch record with a target in the
 // frame after its trigger — the §4.3 containment violation.
@@ -101,41 +100,6 @@ func (p *IPStride) forceValid(i int) int {
 	return i
 }
 
-// IPStrideSnapshot captures the prefetcher's complete state: table, policy,
-// issue record and counters.
-type IPStrideSnapshot struct {
-	Entries   []Entry
-	Policy    []uint64
-	LastBase  mem.PAddr
-	LastTgt   mem.PAddr
-	LastValid bool
-	Stats     Stats
-}
-
-// Snapshot captures the IP-stride prefetcher's state.
-func (p *IPStride) Snapshot() IPStrideSnapshot {
-	return IPStrideSnapshot{
-		Entries:   append([]Entry(nil), p.entries...),
-		Policy:    p.policy.Save(),
-		LastBase:  p.lastIssue.base,
-		LastTgt:   p.lastIssue.target,
-		LastValid: p.lastIssue.valid,
-		Stats:     p.stats,
-	}
-}
-
-// Restore adopts a snapshot from a prefetcher with the same table size.
-func (p *IPStride) Restore(snap IPStrideSnapshot) error {
-	if len(snap.Entries) != len(p.entries) {
-		return fmt.Errorf("ipstride: snapshot has %d entries, table has %d", len(snap.Entries), len(p.entries))
-	}
-	copy(p.entries, snap.Entries)
-	p.policy.Load(snap.Policy)
-	p.lastIssue.base, p.lastIssue.target, p.lastIssue.valid = snap.LastBase, snap.LastTgt, snap.LastValid
-	p.stats = snap.Stats
-	return nil
-}
-
 // StateHash folds the prefetcher's complete state into a stable digest.
 func (p *IPStride) StateHash() uint64 {
 	h := statehash.New()
@@ -146,72 +110,12 @@ func (p *IPStride) StateHash() uint64 {
 			h.U64(e.Tag).U64(e.FullIP).Int(e.PID).U64(uint64(e.LastAddr)).I64(e.Stride).Int(e.Confidence)
 		}
 	}
-	h.U64s(p.policy.Save())
+	var words [64]uint64 // the policy words of any table up to 63 entries stay on the stack
+	h.U64s(p.policy.SaveInto(words[:0], 0))
 	h.Bool(p.lastIssue.valid).U64(uint64(p.lastIssue.base)).U64(uint64(p.lastIssue.target))
 	h.U64(p.stats.Lookups).U64(p.stats.Trains).U64(p.stats.Allocs).U64(p.stats.Evictions)
 	h.U64(p.stats.Prefetches).U64(p.stats.PageDrops).U64(p.stats.Relearns).U64(p.stats.TLBSkips).U64(p.stats.Flushes)
 	return h.Sum()
-}
-
-// DCUSnapshot, DPLSnapshot and StreamerSnapshot capture the noise
-// prefetchers' small detector states.
-type DCUSnapshot struct {
-	Enabled  bool
-	LastLine uint64
-	Seen     bool
-	Stats    uint64
-}
-
-type DPLSnapshot struct {
-	Enabled  bool
-	LastMiss uint64
-	Seen     bool
-	Stats    uint64
-}
-
-type StreamerSnapshot struct {
-	Enabled bool
-	Degree  int
-	Table   []streamEntry
-	Stats   uint64
-}
-
-// SuiteSnapshot captures all four prefetchers of a core.
-type SuiteSnapshot struct {
-	IPStride IPStrideSnapshot
-	DCU      DCUSnapshot
-	DPL      DPLSnapshot
-	Streamer StreamerSnapshot
-}
-
-// Snapshot captures the full suite state.
-func (s *Suite) Snapshot() SuiteSnapshot {
-	return SuiteSnapshot{
-		IPStride: s.IPStride.Snapshot(),
-		DCU:      DCUSnapshot{Enabled: s.DCU.Enabled, LastLine: s.DCU.lastLine, Seen: s.DCU.seen, Stats: s.DCU.stats},
-		DPL:      DPLSnapshot{Enabled: s.DPL.Enabled, LastMiss: s.DPL.lastMiss, Seen: s.DPL.seen, Stats: s.DPL.stats},
-		Streamer: StreamerSnapshot{
-			Enabled: s.Streamer.Enabled,
-			Degree:  s.Streamer.Degree,
-			Table:   append([]streamEntry(nil), s.Streamer.table...),
-			Stats:   s.Streamer.stats,
-		},
-	}
-}
-
-// Restore adopts a suite snapshot.
-func (s *Suite) Restore(snap SuiteSnapshot) error {
-	if err := s.IPStride.Restore(snap.IPStride); err != nil {
-		return err
-	}
-	s.DCU.Enabled, s.DCU.lastLine, s.DCU.seen, s.DCU.stats = snap.DCU.Enabled, snap.DCU.LastLine, snap.DCU.Seen, snap.DCU.Stats
-	s.DPL.Enabled, s.DPL.lastMiss, s.DPL.seen, s.DPL.stats = snap.DPL.Enabled, snap.DPL.LastMiss, snap.DPL.Seen, snap.DPL.Stats
-	if len(snap.Streamer.Table) != len(s.Streamer.table) {
-		return fmt.Errorf("streamer: snapshot has %d entries, table has %d", len(snap.Streamer.Table), len(s.Streamer.table))
-	}
-	s.Streamer.Enabled, s.Streamer.Degree, s.Streamer.stats = snap.Streamer.Enabled, snap.Streamer.Degree, snap.Streamer.Stats
-	copy(s.Streamer.table, snap.Streamer.Table)
-	return nil
 }
 
 // StateHash folds the full suite state into one digest.

@@ -1,11 +1,8 @@
 package prefetcher
 
-import "afterimage/internal/cache"
-
-// Fork support: deep-copy the prefetcher suite for Machine.Fork. Every
-// copy routes through the same representations Snapshot/Restore use, so a
-// fork is provably state-equivalent to a restore — including deliberately
-// corrupted state, which must survive for the auditor to flag.
+// Fork support: deep-copy the prefetcher suite for Machine.Fork, the only
+// way prefetcher state is copied. Deliberately corrupted state is copied
+// verbatim, so it survives for the auditor to flag.
 
 // Fork returns an independent deep copy of the IP-stride prefetcher. The
 // telemetry hub is NOT carried over (emits would land in the parent's
@@ -14,12 +11,11 @@ func (p *IPStride) Fork() *IPStride {
 	f := &IPStride{
 		cfg:      p.cfg,
 		entries:  append([]Entry(nil), p.entries...),
-		policy:   cache.NewPolicy(p.cfg.Policy, p.cfg.Entries, 1),
+		policy:   p.policy.Clone(),
 		mask:     p.mask,
 		NextPage: p.NextPage,
 		stats:    p.stats,
 	}
-	f.policy.Load(p.policy.Save())
 	f.lastIssue = p.lastIssue
 	return f
 }

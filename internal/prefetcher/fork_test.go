@@ -64,7 +64,7 @@ func TestSuiteForkBitIdentical(t *testing.T) {
 
 // TestSuiteForkScratchReset: the fork gets a FRESH request scratch buffer
 // sized to the parent's capacity — empty (no stale requests) but
-// allocation-free from the first OnLoad, exactly like a restored suite.
+// allocation-free from the first OnLoad, exactly like the warmed parent.
 func TestSuiteForkScratchReset(t *testing.T) {
 	s := forkTestSuite()
 	warmSuite(s, 500) // grows the scratch to its steady-state capacity
@@ -108,5 +108,32 @@ func TestIPStrideForkIndependence(t *testing.T) {
 	s.IPStride.OnLoad(Access{IP: 0x400000, PA: 0x999000, TLBHit: true, Level: cache.LevelDRAM})
 	if f.IPStride.StateHash() != fBefore {
 		t.Fatal("parent training mutated the fork table")
+	}
+}
+
+// TestIPStrideForkPolicyIndependence: allocating twice as many IPs as the
+// table holds drives the history-table policy through inserts and victim
+// choices, so its state must be the fork's own. The fork's churn leaves the
+// parent's hash unchanged, and the parent then evicts exactly as an
+// unforked twin does.
+func TestIPStrideForkPolicyIndependence(t *testing.T) {
+	parent, twin := newDefault(), newDefault()
+	trainSome(parent)
+	trainSome(twin)
+	before := parent.StateHash()
+	f := parent.Fork()
+	for ip := uint64(0); ip < 48; ip++ {
+		f.OnLoad(acc(0x900000+ip, 0x80000+ip*line))
+	}
+	if parent.StateHash() != before {
+		t.Fatal("fork allocations mutated the parent's table or policy")
+	}
+	for ip := uint64(0); ip < 48; ip++ {
+		a := acc(0x700000+ip, 0x60000+ip*line)
+		parent.OnLoad(a)
+		twin.OnLoad(a)
+	}
+	if parent.StateHash() != twin.StateHash() {
+		t.Fatal("after forking, the parent evicts differently from an unforked twin")
 	}
 }

@@ -86,7 +86,7 @@ type Entry struct {
 type IPStride struct {
 	cfg     IPStrideConfig
 	entries []Entry
-	policy  cache.Policy
+	policy  *cache.PolicyArray // one set of Entries ways
 	mask    uint64
 
 	// NextPage enables the Haswell next-page assist: an access whose frame
@@ -126,6 +126,9 @@ func (c IPStrideConfig) Validate() error {
 	if c.Entries <= 0 || c.IndexBits <= 0 || c.IndexBits > 64 {
 		return fmt.Errorf("prefetcher: invalid config %+v", c)
 	}
+	if err := c.Policy.CheckWays(c.Entries); err != nil {
+		return fmt.Errorf("prefetcher: history table: %w", err)
+	}
 	return nil
 }
 
@@ -137,7 +140,7 @@ func NewIPStride(cfg IPStrideConfig) *IPStride {
 	return &IPStride{
 		cfg:      cfg,
 		entries:  make([]Entry, cfg.Entries),
-		policy:   cache.NewPolicy(cfg.Policy, cfg.Entries, 1),
+		policy:   cache.NewPolicyArray(cfg.Policy, 1, cfg.Entries, func(int) int64 { return 1 }),
 		mask:     (1 << uint(cfg.IndexBits)) - 1,
 		NextPage: true,
 	}
@@ -324,7 +327,7 @@ func (p *IPStride) AppendOnLoad(a Access, reqs []Request) []Request {
 		return reqs
 	}
 	e := &p.entries[idx]
-	p.policy.Touch(idx)
+	p.policy.Touch(0, idx)
 	p.stats.Trains++
 
 	distance := int64(a.PA) - int64(e.LastAddr)
@@ -396,7 +399,7 @@ func (p *IPStride) allocate(a Access) {
 		}
 	}
 	if slot < 0 {
-		slot = p.policy.Victim()
+		slot = p.policy.Victim(0)
 		p.stats.Evictions++
 		if p.tel.TraceEnabled() {
 			p.tel.Emit(telemetry.Event{Kind: telemetry.EvPTEvict, Arg1: uint64(slot), Arg2: p.entries[slot].Tag})
@@ -409,7 +412,7 @@ func (p *IPStride) allocate(a Access) {
 		LastAddr: a.PA,
 		Valid:    true,
 	}
-	p.policy.Insert(slot)
+	p.policy.Insert(0, slot)
 	p.stats.Allocs++
 	if p.tel.TraceEnabled() {
 		p.tel.Emit(telemetry.Event{Kind: telemetry.EvPTInsert, Arg1: uint64(slot), Arg2: p.entries[slot].Tag})

@@ -89,29 +89,36 @@ func (a *admission) acquire(ctx context.Context, tenant string) (func(), *apiErr
 	}
 
 	enqueued := time.Now()
-	if n := a.queued.Add(1); n > a.queueDepth {
-		a.queued.Add(-1)
-		releaseTenant()
-		inc(a.shed)
-		return nil, &apiError{
-			Status:     429,
-			Msg:        fmt.Sprintf("admission queue is full (%d waiting)", a.queueDepth),
-			RetryAfter: a.retryAfter,
-		}
-	}
-	if a.waiting != nil {
-		a.waiting.Set(a.queued.Load())
-	}
 	select {
 	case a.sem <- struct{}{}:
-	case <-ctx.Done():
+		// A free slot admits at once. Only a campaign that has to wait
+		// counts against the queue depth, so concurrent arrivals at free
+		// slots are never shed as if the queue were full.
+	default:
+		if n := a.queued.Add(1); n > a.queueDepth {
+			a.queued.Add(-1)
+			releaseTenant()
+			inc(a.shed)
+			return nil, &apiError{
+				Status:     429,
+				Msg:        fmt.Sprintf("admission queue is full (%d waiting)", a.queueDepth),
+				RetryAfter: a.retryAfter,
+			}
+		}
+		if a.waiting != nil {
+			a.waiting.Set(a.queued.Load())
+		}
+		select {
+		case a.sem <- struct{}{}:
+		case <-ctx.Done():
+			a.queued.Add(-1)
+			releaseTenant()
+			return nil, &apiError{Status: 503, Msg: "canceled while queued for admission", RetryAfter: a.retryAfter}
+		}
 		a.queued.Add(-1)
-		releaseTenant()
-		return nil, &apiError{Status: 503, Msg: "canceled while queued for admission", RetryAfter: a.retryAfter}
-	}
-	a.queued.Add(-1)
-	if a.waiting != nil {
-		a.waiting.Set(a.queued.Load())
+		if a.waiting != nil {
+			a.waiting.Set(a.queued.Load())
+		}
 	}
 	if a.queueWait != nil {
 		a.queueWait.Observe(uint64(time.Since(enqueued).Microseconds()))

@@ -26,15 +26,14 @@ import (
 // telemetry hub with its registry samplers and latency histogram (samplers
 // are closures over live counters — sharing them would let one machine's
 // metrics read another's state), the invariant registry, and the way
-// predictors and scratch buffers, which reset exactly as they do on
-// Restore.
+// predictors and scratch buffers, which cache only locations and capacity.
 //
 // Not carried over: the perturber, cancellation probe, pending fault and
 // last-audit diagnostics — per-run harness attachments, installed by the
 // driver on whichever machine it runs.
 //
-// Fork refuses while the scheduler is mid-run, for the same reason
-// Snapshot does: parked task goroutines hold unserialisable state.
+// Fork is the only way machine state is copied. It refuses while the
+// scheduler is mid-run: parked task goroutines hold uncopyable state.
 func (m *Machine) Fork() (*Machine, error) {
 	if m.sched.running {
 		return nil, &SimFault{

@@ -19,10 +19,10 @@ import (
 //
 //   - isolation: no fork observes another fork's (or the parent's)
 //     mutations — each fork's final state hash equals the hash of the SAME
-//     program run alone on a machine restored from a snapshot of the same
-//     warmed parent, and the parent's own hash is unchanged;
-//   - equivalence: fork + program ≡ snapshot/restore + program, tying the
-//     fork implementation to the long-gated restore semantics.
+//     program run alone, and the parent's own hash is unchanged;
+//   - equivalence: fork + program ≡ fresh machine + program. The reference
+//     runs each program on a newly built, identically warmed machine, so it
+//     shares no code with the fork it checks.
 //
 // A violation is shrunk with delta debugging (chunk removal down to single
 // ops, holding the other forks' programs fixed) and written under
@@ -51,8 +51,8 @@ type forkPropCase struct {
 const forkRigPages = 32
 
 // forkRig binds a machine, a process env and the property buffer. The same
-// binder rebuilds it over a fork or after a snapshot restore, so programs
-// address state by (page, line) rather than by pointer.
+// binder rebuilds it over a fork, so programs address state by (page, line)
+// rather than by pointer.
 type forkRig struct {
 	m   *Machine
 	env *Env
@@ -84,8 +84,8 @@ func newForkRig(seed int64) *forkRig {
 	return r
 }
 
-// rebind rebuilds the rig bindings over a machine that shares the original
-// topology — a fork of it, or the original after a restore.
+// rebind rebuilds the rig bindings over a fork of the rig's machine, which
+// shares its topology.
 func (r *forkRig) rebind(m *Machine) (*forkRig, error) {
 	procs := m.Processes()
 	if len(procs) != 1 {
@@ -164,8 +164,7 @@ func genForkProgram(rng *rand.Rand, n int) forkProgram {
 // runForkIsolation executes the full property for one program set: fork
 // len(programs) machines from one warmed parent, interleave the programs
 // across the forks in seed-derived chunks, and compare every fork's final
-// hash against a solo run of the same program on a restore of the same
-// parent. Returns the index of the first diverging fork and a description,
+// hash against a solo run of the same program on a freshly built rig. Returns the index of the first diverging fork and a description,
 // or -1 when the property holds.
 func runForkIsolation(seed int64, programs []forkProgram) (int, string) {
 	parent := newForkRig(seed)
@@ -206,26 +205,15 @@ func runForkIsolation(seed int64, programs []forkProgram) (int, string) {
 		}
 	}
 
-	// Reference: the same programs, each alone on a restore of an
+	// Reference: the same programs, each alone on a freshly built,
 	// identically warmed machine.
-	ref := newForkRig(seed)
-	snap, err := ref.m.Snapshot()
-	if err != nil {
-		return 0, "snapshot: " + err.Error()
-	}
 	for i, prog := range programs {
-		if err := ref.m.Restore(snap); err != nil {
-			return i, "restore: " + err.Error()
-		}
-		rr, err := ref.rebind(ref.m)
-		if err != nil {
-			return i, err.Error()
-		}
+		ref := newForkRig(seed)
 		for _, op := range prog {
-			rr.exec(op)
+			ref.exec(op)
 		}
 		if got, want := forks[i].m.StateHash(), ref.m.StateHash(); got != want {
-			return i, fmt.Sprintf("fork %d hash %#016x, solo restore run %#016x", i, got, want)
+			return i, fmt.Sprintf("fork %d hash %#016x, solo fresh run %#016x", i, got, want)
 		}
 		if err := forks[i].m.Audit(); err != nil {
 			return i, fmt.Sprintf("fork %d failed final audit: %v", i, err)

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"afterimage/internal/mem"
-)
+import "testing"
 
 // Forked-machine selfcheck suite: Machine.Fork must hand back a machine the
 // full invariant registry accepts (TLB coherence under remapped ASIDs,
@@ -69,51 +65,6 @@ func TestForkPreservesCorruptTLBEntries(t *testing.T) {
 	f := m.MustFork()
 	if err := f.Audit(); err == nil {
 		t.Fatal("fork laundered the corrupt TLB entry")
-	}
-}
-
-// TestForkMatchesSnapshotRestore ties Fork to the long-gated Restore
-// semantics: a fork and a snapshot/restore round trip of the same machine
-// hash identically, and replaying the same continuation on both reproduces
-// the same final hash.
-func TestForkMatchesSnapshotRestore(t *testing.T) {
-	m, env, buf := warmMachine(t)
-	f := m.MustFork()
-	if got, want := f.StateHash(), m.StateHash(); got != want {
-		t.Fatalf("fork hash %#x, parent %#x", got, want)
-	}
-
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	cont := func(e *Env, b *mem.Mapping) {
-		for i := 0; i < 12; i++ {
-			e.Load(0x40_0300, b.Base+mem.VAddr(3*mem.PageSize+i%5*3*mem.LineSize))
-		}
-	}
-	cont(env, buf)
-	want := m.StateHash()
-	if err := m.Restore(snap); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-
-	fp := f.Processes()
-	if len(fp) != 1 {
-		t.Fatalf("fork has %d processes, want 1", len(fp))
-	}
-	var fbuf *mem.Mapping
-	for _, mp := range fp[0].AS.Mappings() {
-		if mp.Base == buf.Base {
-			fbuf = mp
-		}
-	}
-	if fbuf == nil {
-		t.Fatal("fork lost the warm buffer mapping")
-	}
-	cont(f.Direct(fp[0]), fbuf)
-	if got := f.StateHash(); got != want {
-		t.Fatalf("forked continuation hash %#x, restored-path continuation %#x", got, want)
 	}
 }
 

@@ -68,8 +68,8 @@ type Machine struct {
 	procs    []*Process
 	syscalls map[int]SyscallHandler
 
-	// jitter/noise are counting-source RNGs so their positions snapshot
-	// (detrand is stream-identical to the plain sources they replaced).
+	// jitter/noise are counting-source RNGs so their positions hash and
+	// clone (detrand is stream-identical to the plain sources they replaced).
 	jitter    *rand.Rand
 	noise     *rand.Rand
 	jitterSrc *detrand.Source

@@ -164,46 +164,6 @@ func TestAuditCadenceIsReadOnly(t *testing.T) {
 	}
 }
 
-func TestMachineSnapshotRoundTrip(t *testing.T) {
-	m, env, buf := warmMachine(t)
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	h := m.StateHash()
-
-	// Diverge — no Mmap here: address spaces and physical frames are not
-	// part of a machine snapshot, only re-derivable microarchitectural and
-	// clock state is.
-	w2 := func() {
-		for i := 0; i < 12; i++ {
-			env.Load(0x40_0300, buf.Base+mem.VAddr(3*mem.PageSize+i%5*3*mem.LineSize))
-		}
-	}
-	w2()
-	h2 := m.StateHash()
-	if h2 == h {
-		t.Fatal("hash unchanged after extra workload")
-	}
-
-	if err := m.Restore(snap); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if got := m.StateHash(); got != h {
-		t.Fatalf("restored hash %#x, want %#x", got, h)
-	}
-	if err := m.Audit(); err != nil {
-		t.Fatalf("restored machine fails audit: %v", err)
-	}
-
-	// Replaying the same continuation from the restored state reproduces
-	// the diverged hash exactly — the property the replay harness rests on.
-	w2()
-	if got := m.StateHash(); got != h2 {
-		t.Fatalf("replayed continuation hash %#x, want %#x", got, h2)
-	}
-}
-
 // TestStateHashComparableAcrossMachines: two machines with the same seed
 // and workload hash identically even though their raw ASIDs differ (the
 // process-global allocator keeps counting) — the normalization contract.
@@ -224,23 +184,6 @@ func TestStateHashComparableAcrossMachines(t *testing.T) {
 	}
 	if a.StateHash() != b.StateHash() {
 		t.Fatal("machine hashes differ for identical seed and workload")
-	}
-}
-
-func TestSnapshotRefusedWhileRunning(t *testing.T) {
-	m := NewMachine(Quiet(CoffeeLake(1)))
-	p := m.NewProcess("p")
-	var snapErr, restoreErr error
-	m.Spawn(p, "t", func(e *Env) {
-		_, snapErr = m.Snapshot()
-		restoreErr = m.Restore(&MachineSnapshot{})
-	})
-	m.Run()
-	for _, err := range []error{snapErr, restoreErr} {
-		f, ok := AsFault(err)
-		if !ok || f.Kind != FaultAPIMisuse {
-			t.Fatalf("snapshot/restore while running: got %v, want api-misuse fault", err)
-		}
 	}
 }
 

@@ -31,9 +31,9 @@ func (l *level) fork(remap func(asid uint64) uint64) *level {
 }
 
 // Fork returns an independent deep copy with valid entries re-tagged
-// through remap (nil means identity). The way predictor is dropped exactly
-// as Restore drops it: it caches only a location, and the remap invalidates
-// its (asid, vpn) key anyway.
+// through remap (nil means identity). It is the only way TLB state is
+// copied. The way predictor is dropped: it caches only a location, and the
+// remap invalidates its (asid, vpn) key anyway.
 func (t *TLB) Fork(remap func(asid uint64) uint64) *TLB {
 	if remap == nil {
 		remap = func(a uint64) uint64 { return a }

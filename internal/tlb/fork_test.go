@@ -7,8 +7,8 @@ import (
 )
 
 // Fork regression suite: Fork must remap valid entries through the
-// parent→child ASID table, drop the way-predictor memo exactly as Restore
-// does, and share nothing mutable with the parent.
+// parent→child ASID table, drop the way-predictor memo, and share nothing
+// mutable with the parent.
 
 func TestForkRemapsValidEntries(t *testing.T) {
 	tl := New(DefaultConfig())

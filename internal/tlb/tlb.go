@@ -42,7 +42,7 @@ func DefaultConfig() Config {
 
 // level is one set-associative translation array. All per-way state lives
 // in contiguous slices indexed set*ways+way (set-major, the order every
-// iteration — snapshot, audit, hash, visit — has always used), so a lookup
+// iteration — fork, audit, hash, visit — has always used), so a lookup
 // is index arithmetic over four flat arrays instead of chasing per-set heap
 // objects.
 type level struct {
@@ -327,72 +327,6 @@ func (l *level) visit(fn func(asid, vpn uint64)) {
 func (t *TLB) CorruptInsert(asid, vpn uint64) {
 	t.l1.install(asid, vpn)
 	t.predOK = false
-}
-
-// LevelSnapshot captures one translation array.
-type LevelSnapshot struct {
-	ASIDs  []uint64 // flattened set-major: entries
-	VPNs   []uint64
-	Valid  []bool
-	Stamps []uint64
-	Clocks []uint64 // one per set
-}
-
-// TLBSnapshot captures both levels plus counters.
-type TLBSnapshot struct {
-	L1, STLB LevelSnapshot // STLB empty when disabled
-	Hits     uint64
-	Misses   uint64
-	STLBHits uint64
-}
-
-func (l *level) snapshot() LevelSnapshot {
-	return LevelSnapshot{
-		ASIDs:  append([]uint64(nil), l.asids...),
-		VPNs:   append([]uint64(nil), l.vpns...),
-		Valid:  append([]bool(nil), l.valid...),
-		Stamps: append([]uint64(nil), l.stamps...),
-		Clocks: append([]uint64(nil), l.clocks...),
-	}
-}
-
-func (l *level) restore(snap LevelSnapshot) error {
-	if len(snap.Clocks) != l.nsets() || len(snap.ASIDs) != len(l.asids) {
-		return fmt.Errorf("tlb: snapshot geometry mismatch (%d sets x %d ways vs %d clocks, %d entries)",
-			l.nsets(), l.ways, len(snap.Clocks), len(snap.ASIDs))
-	}
-	copy(l.asids, snap.ASIDs)
-	copy(l.vpns, snap.VPNs)
-	copy(l.valid, snap.Valid)
-	copy(l.stamps, snap.Stamps)
-	copy(l.clocks, snap.Clocks)
-	return nil
-}
-
-// Snapshot captures the TLB's complete state.
-func (t *TLB) Snapshot() TLBSnapshot {
-	snap := TLBSnapshot{L1: t.l1.snapshot(), Hits: t.hits, Misses: t.misses, STLBHits: t.stlbHits}
-	if t.stlb != nil {
-		snap.STLB = t.stlb.snapshot()
-	}
-	return snap
-}
-
-// Restore adopts a snapshot taken from a TLB with the same geometry. The
-// restored contents need not match the predictor's cached location (the
-// snapshot may even be deliberately corrupted), so the predictor forgets.
-func (t *TLB) Restore(snap TLBSnapshot) error {
-	if err := t.l1.restore(snap.L1); err != nil {
-		return err
-	}
-	if t.stlb != nil {
-		if err := t.stlb.restore(snap.STLB); err != nil {
-			return err
-		}
-	}
-	t.hits, t.misses, t.stlbHits = snap.Hits, snap.Misses, snap.STLBHits
-	t.predOK = false
-	return nil
 }
 
 // StateHash folds the TLB's complete state into a stable digest. ASIDs are

@@ -7,8 +7,8 @@ import (
 )
 
 // Boundary tests for the TLB's one-entry translation predictor: predictions
-// must never survive a context switch (different ASID), a flush, a restore,
-// or deliberately corrupted duplicate state, and the VPN extremes must
+// must never survive a context switch (different ASID), a flush or
+// deliberately corrupted duplicate state, and the VPN extremes must
 // behave like any other page.
 func TestTLBPredictorBoundaries(t *testing.T) {
 	const va = mem.VAddr(0x5555_0000_0000)
@@ -42,20 +42,6 @@ func TestTLBPredictorBoundaries(t *testing.T) {
 			}
 			if hit, _ := tl.Lookup(1, va); hit {
 				t.Fatal("hit after FlushAll")
-			}
-		}},
-		{"restore kills the prediction", func(t *testing.T, tl *TLB) {
-			empty := tl.Snapshot()
-			tl.Lookup(1, va)
-			tl.Lookup(1, va)
-			if err := tl.Restore(empty); err != nil {
-				t.Fatal(err)
-			}
-			if tl.predOK {
-				t.Fatal("predictor survived Restore")
-			}
-			if hit, _ := tl.Lookup(1, va); hit {
-				t.Fatal("hit in a restored-empty TLB")
 			}
 		}},
 		{"corrupt insert resets the predictor", func(t *testing.T, tl *TLB) {
