@@ -10,6 +10,7 @@ package afterimage
 // EXPERIMENTS.md compares against the paper.
 
 import (
+	"context"
 	"testing"
 )
 
@@ -270,31 +271,30 @@ func BenchmarkSGXLeak(b *testing.B) {
 
 // benchSweep runs one full fault-sweep campaign — the hotpathSweepOptions
 // ladder (five intensities over the V1 cross-thread attack) with a 400k-load
-// preconditioning trace per point — under the given execution mode. The two
-// modes are bit-identical point for point (gated by the fork-vs-fresh
-// differential suite, warmup included), so the pair measures exactly the
-// snapshot-fork saving: the fresh mode boots AND re-warms every point, the
-// forked mode warms one template per campaign and deep-copies it per point.
-func benchSweep(b *testing.B, mode SweepExecMode) {
+// preconditioning trace per point — forked from a warmed template or, with
+// fresh, booting every point. The two are bit-identical point for point
+// (gated by the fork-vs-fresh differential suite, warmup included), so the
+// pair measures exactly the fork saving: the fresh boot AND re-warm every
+// point, the forked campaign warms one template and deep-copies it per point.
+func benchSweep(b *testing.B, fresh bool) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		o := hotpathSweepOptions()
 		o.Warmup = 400_000
-		o.Execution = mode
-		res := NewLab(Options{Seed: 42, Quiet: true}).RunFaultSweep(o)
+		res, _ := NewLab(Options{Seed: 42, Quiet: true}).runFaultSweep(context.Background(), o, fresh)
 		if len(res.Points) != len(o.Intensities) {
 			b.Fatalf("sweep returned %d points, want %d", len(res.Points), len(o.Intensities))
 		}
 	}
 }
 
-// BenchmarkSweepForked measures the default campaign path: one warmed
-// template, one Machine.Fork per point.
-func BenchmarkSweepForked(b *testing.B) { benchSweep(b, SweepForked) }
+// BenchmarkSweepForked measures the campaign path: one warmed template, one
+// Machine.Fork per point.
+func BenchmarkSweepForked(b *testing.B) { benchSweep(b, false) }
 
 // BenchmarkSweepFresh is the pre-fork behaviour (a full lab boot per point),
-// kept as the baseline the forked mode is compared against.
-func BenchmarkSweepFresh(b *testing.B) { benchSweep(b, SweepFresh) }
+// kept as the baseline the forked campaign is compared against.
+func BenchmarkSweepFresh(b *testing.B) { benchSweep(b, true) }
 
 // BenchmarkV1TelemetryOff measures the full Variant-1 attack with telemetry
 // in its default state: phase accounting on (always), event recording off.

@@ -17,11 +17,10 @@
 // checkpointed and a restarted server resumes them on their next request.
 //
 // Observability: -log-format/-log-level control structured stderr logging
-// (every campaign line carries its correlation ID), -span-log appends one
-// JSONL span record per completed campaign (validate with
-// afterimage-tracecheck -format spans), -pprof serves net/http/pprof, and
-// GET /metrics serves Prometheus 0.0.4 exposition to scrapers that ask for
-// it (Accept: text/plain; version=0.0.4) alongside the legacy text format.
+// through log/slog (every campaign line carries its correlation ID),
+// -span-log appends one JSONL span record per completed campaign (validate
+// with afterimage-tracecheck -format spans), -pprof serves net/http/pprof,
+// and GET /metrics serves Prometheus 0.0.4 text exposition.
 package main
 
 import (
@@ -37,7 +36,6 @@ import (
 
 	"afterimage/internal/cliobs"
 	"afterimage/internal/cluster"
-	"afterimage/internal/obslog"
 	"afterimage/internal/server"
 	"afterimage/internal/store"
 	"afterimage/internal/telemetry"
@@ -81,13 +79,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "afterimage-serve: %v\n", err)
 		os.Exit(2)
 	}
-	log = log.With(obslog.F("component", "afterimage-serve"))
+	log = log.With("component", "afterimage-serve")
 
 	var spanLog *os.File
 	if *spanLogPath != "" {
 		spanLog, err = os.OpenFile(*spanLogPath, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 		if err != nil {
-			log.Error("open span log", obslog.F("path", *spanLogPath), obslog.F("err", err))
+			log.Error("open span log", "path", *spanLogPath, "err", err)
 			os.Exit(1)
 		}
 		defer spanLog.Close()
@@ -107,7 +105,7 @@ func main() {
 		}
 		fcfg.Registry = reg
 		fsys = vfs.NewFaultFS(fcfg, nil)
-		log.Warn("filesystem fault injection enabled", obslog.F("config", *fsChaos))
+		log.Warn("filesystem fault injection enabled", "config", *fsChaos)
 	}
 
 	st, quarantined, err := store.OpenWith(store.Options{
@@ -120,16 +118,16 @@ func main() {
 		Logger:        log,
 	})
 	if err != nil {
-		log.Error("open store", obslog.F("dir", *storeDir), obslog.F("err", err))
+		log.Error("open store", "dir", *storeDir, "err", err)
 		os.Exit(1)
 	}
 	defer st.Close()
 	if quarantined > 0 {
 		log.Warn("recovery scan quarantined torn/corrupt store files",
-			obslog.F("count", quarantined), obslog.F("dir", store.QuarantineDir))
+			"count", quarantined, "dir", store.QuarantineDir)
 	}
-	log.Info("store opened", obslog.F("dir", st.Dir()), obslog.F("entries", st.Len()),
-		obslog.F("budget", *storeBudget), obslog.F("scrub_interval", *scrubInterval))
+	log.Info("store opened", "dir", st.Dir(), "entries", st.Len(),
+		"budget", *storeBudget, "scrub_interval", *scrubInterval)
 
 	cfg := server.Config{
 		Store:          st,
@@ -165,7 +163,7 @@ func main() {
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
-		log.Error("server init failed", obslog.F("err", err))
+		log.Error("server init failed", "err", err)
 		os.Exit(1)
 	}
 	if coord != nil {
@@ -176,7 +174,7 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		log.Info("listening", obslog.F("addr", *addr))
+		log.Info("listening", "addr", *addr)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
@@ -185,7 +183,7 @@ func main() {
 	select {
 	case err := <-errc:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Error("listener failed", obslog.F("err", err))
+			log.Error("listener failed", "err", err)
 			os.Exit(1)
 		}
 	case <-ctx.Done():
@@ -199,10 +197,10 @@ func main() {
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Drain(drainCtx); err != nil {
-		log.Warn("drain", obslog.F("err", err))
+		log.Warn("drain", "err", err)
 	}
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		log.Error("shutdown", obslog.F("err", err))
+		log.Error("shutdown", "err", err)
 		os.Exit(1)
 	}
 	log.Info("drained cleanly")

@@ -36,7 +36,6 @@ import (
 
 	"afterimage/internal/cliobs"
 	"afterimage/internal/cluster"
-	"afterimage/internal/obslog"
 	"afterimage/internal/server"
 	"afterimage/internal/telemetry"
 )
@@ -63,7 +62,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "afterimage-worker: %v\n", err)
 		os.Exit(2)
 	}
-	log = log.With(obslog.F("component", "afterimage-worker"), obslog.F("worker", *id))
+	log = log.With("component", "afterimage-worker", "worker", *id)
 
 	reg := telemetry.NewRegistry()
 	w, err := server.NewWorker(server.WorkerConfig{
@@ -75,7 +74,7 @@ func main() {
 		Logger:        log,
 	})
 	if err != nil {
-		log.Error("worker init failed", obslog.F("err", err))
+		log.Error("worker init failed", "err", err)
 		os.Exit(1)
 	}
 
@@ -89,7 +88,7 @@ func main() {
 			for range usr1 {
 				now := !partitioned.Load()
 				partitioned.Store(now)
-				log.Warn("chaos partition toggled", obslog.F("partitioned", now))
+				log.Warn("chaos partition toggled", "partitioned", now)
 			}
 		}()
 	}
@@ -97,7 +96,7 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	errc := make(chan error, 1)
 	go func() {
-		log.Info("worker listening", obslog.F("addr", *addr))
+		log.Info("worker listening", "addr", *addr)
 		errc <- httpSrv.ListenAndServe()
 	}()
 
@@ -116,7 +115,7 @@ func main() {
 	select {
 	case err := <-errc:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Error("listener failed", obslog.F("err", err))
+			log.Error("listener failed", "err", err)
 			os.Exit(1)
 		}
 	case <-ctx.Done():
@@ -130,10 +129,10 @@ func main() {
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := w.Drain(drainCtx); err != nil {
-		log.Warn("drain", obslog.F("err", err))
+		log.Warn("drain", "err", err)
 	}
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		log.Error("shutdown", obslog.F("err", err))
+		log.Error("shutdown", "err", err)
 		os.Exit(1)
 	}
 	log.Info("drained cleanly")

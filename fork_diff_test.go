@@ -11,8 +11,9 @@ package afterimage
 //   - every Table 3 experiment run on a lab FORKED from a pristine template
 //     must reproduce the fresh-lab machine digest bit-for-bit,
 //   - the fault-sweep campaign must produce identical per-point digests
-//     under Execution: SweepFresh and Execution: SweepForked (the default,
-//     which TestHotPathDifferentialFaultSweep already gates),
+//     when every point boots fresh and when points fork the warmed template
+//     (the campaign path, which TestHotPathDifferentialFaultSweep already
+//     gates),
 //   - the randomized traces must digest identically when the machine is
 //     forked mid-trace and the suffix replayed on the fork — and the parent,
 //     continued past the fork, must digest identically too (isolation).
@@ -103,7 +104,7 @@ func TestForkDifferentialRandomTraces(t *testing.T) {
 // from a pristine template — the exact execution shape RunFaultSweep's
 // forked mode uses — and requires each final machine digest to match the
 // fresh-lab seed-path golden. The final audit runs on the forked machine,
-// so the invariant registry (including mem.spaces) sees fork-built state.
+// so every audit checker (including mem.spaces) sees fork-built state.
 func TestForkDifferentialTable3(t *testing.T) {
 	opts := hotpathReportOptions()
 	want := loadHotpathGolden(t).Table3
@@ -132,15 +133,14 @@ func TestForkDifferentialTable3(t *testing.T) {
 }
 
 // TestForkDifferentialFaultSweepFresh runs the golden fault-sweep campaign
-// with Execution: SweepFresh and requires every point digest to match the
+// with a fresh boot per point and requires every point digest to match the
 // recorded seed path. Together with TestHotPathDifferentialFaultSweep —
-// which runs the default SweepForked mode against the same goldens — this
-// pins the two execution modes bit-identical end to end (scheduler, noise,
-// fault perturbation and audit paths included).
+// which runs the forked campaign against the same goldens — this pins fork
+// and fresh bit-identical end to end (scheduler, noise, fault perturbation
+// and audit paths included).
 func TestForkDifferentialFaultSweepFresh(t *testing.T) {
 	o := hotpathSweepOptions()
-	o.Execution = SweepFresh
-	res := NewLab(Options{Seed: 42, Quiet: true}).RunFaultSweep(o)
+	res, _ := NewLab(Options{Seed: 42, Quiet: true}).runFaultSweep(context.Background(), o, true)
 	want := loadHotpathGolden(t).Sweep
 	if len(res.Points) != len(want) {
 		t.Fatalf("sweep has %d points, seed path recorded %d", len(res.Points), len(want))
@@ -153,24 +153,22 @@ func TestForkDifferentialFaultSweepFresh(t *testing.T) {
 }
 
 // TestForkDifferentialWarmupSweep gates the campaign warm prefix: with
-// Warmup set, the forked mode runs the preconditioning trace once on the
-// template while the fresh mode replays it per point — and every point must
+// Warmup set, the forked campaign runs the preconditioning trace once on the
+// template while the fresh boot replays it per point — and every point must
 // still digest identically. This is the property that makes the warm-once
 // amortisation (BenchmarkSweepForked vs BenchmarkSweepFresh) legitimate.
 func TestForkDifferentialWarmupSweep(t *testing.T) {
 	o := hotpathSweepOptions()
 	o.Warmup = 20_000
-	run := func(mode SweepExecMode) []string {
-		oo := o
-		oo.Execution = mode
-		res := NewLab(Options{Seed: 42, Quiet: true}).RunFaultSweep(oo)
+	run := func(fresh bool) []string {
+		res, _ := NewLab(Options{Seed: 42, Quiet: true}).runFaultSweep(context.Background(), o, fresh)
 		got := make([]string, len(res.Points))
 		for i, pt := range res.Points {
 			got[i] = hexDigest(pt.StateHash)
 		}
 		return got
 	}
-	forked, fresh := run(SweepForked), run(SweepFresh)
+	forked, fresh := run(false), run(true)
 	if len(forked) != len(fresh) || len(forked) != len(o.Intensities) {
 		t.Fatalf("point counts diverged: forked %d, fresh %d, want %d",
 			len(forked), len(fresh), len(o.Intensities))
@@ -186,16 +184,6 @@ func TestForkDifferentialWarmupSweep(t *testing.T) {
 	res := NewLab(Options{Seed: 42, Quiet: true}).RunFaultSweep(o2)
 	if hexDigest(res.Points[0].StateHash) == forked[0] {
 		t.Fatal("warmup had no effect on point state (trace skipped?)")
-	}
-}
-
-// TestSweepForkedIsDefault pins the zero value of SweepExecMode to forked
-// execution: the campaign the hot-path differential gates is the forked
-// one, and a silent default flip would quietly un-gate it.
-func TestSweepForkedIsDefault(t *testing.T) {
-	var mode SweepExecMode
-	if mode != SweepForked {
-		t.Fatalf("zero SweepExecMode = %d, want SweepForked", mode)
 	}
 }
 

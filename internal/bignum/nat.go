@@ -224,9 +224,6 @@ func (n Nat) Mod(d Nat) Nat {
 	return r
 }
 
-// ModAdd returns (n + m) mod d.
-func (n Nat) ModAdd(m, d Nat) Nat { return n.Add(m).Mod(d) }
-
 // ModMul returns (n × m) mod d.
 func (n Nat) ModMul(m, d Nat) Nat { return n.Mul(m).Mod(d) }
 

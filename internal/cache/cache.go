@@ -410,14 +410,6 @@ func (c *Cache) RemoveLine(line uint64) bool {
 	return c.Remove(p)
 }
 
-// Stats reports cumulative hits and misses observed by Access.
-//
-// Deprecated: read the same values from the machine's telemetry registry
-// (<prefix>.hits / <prefix>.misses, via RegisterMetrics). Kept so existing
-// callers and the golden report stay stable; both views sample the same
-// counters and always agree.
-func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
 // ResetStats clears every cumulative counter: hits, misses, prefetch fills
 // and useful-prefetch credits. (It previously left the prefetch counters
 // running, which skewed any accuracy ratio computed after a reset.)
@@ -428,8 +420,8 @@ func (c *Cache) ResetStats() {
 
 // RegisterMetrics exposes the cache's counters in reg under prefix
 // (e.g. "cache.l1"): <prefix>.hits, .misses, .prefetch_fills,
-// .useful_prefetches. Samplers read the live counters, so snapshots always
-// match Stats()/PrefetchStats() exactly and the hot path pays nothing.
+// .useful_prefetches. Samplers read the live counters, so the registry is
+// the one read path for hits and misses and the hot path pays nothing.
 func (c *Cache) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.RegisterFunc(prefix+".hits", func() uint64 { return c.hits })
 	reg.RegisterFunc(prefix+".misses", func() uint64 { return c.misses })

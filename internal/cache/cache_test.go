@@ -161,10 +161,10 @@ func TestHierarchyFlush(t *testing.T) {
 func TestProbeIsNonDestructive(t *testing.T) {
 	c := MustNew(small(LRU))
 	c.Fill(0x1000)
-	h0, m0 := c.Stats()
+	h0, m0 := c.hits, c.misses
 	c.Contains(0x1000)
 	c.Contains(0x2000)
-	if h, m := c.Stats(); h != h0 || m != m0 {
+	if c.hits != h0 || c.misses != m0 {
 		t.Fatal("Contains changed stats")
 	}
 }
@@ -399,16 +399,16 @@ func TestResetStatsClearsAllCounters(t *testing.T) {
 	c.FillPrefetch(0x2000)
 	c.Access(0x2000) // useful prefetch (and a hit)
 
-	if h, m := c.Stats(); h == 0 || m == 0 {
-		t.Fatalf("setup: hits=%d misses=%d", h, m)
+	if c.hits == 0 || c.misses == 0 {
+		t.Fatalf("setup: hits=%d misses=%d", c.hits, c.misses)
 	}
 	if f, u := c.PrefetchStats(); f != 1 || u != 1 {
 		t.Fatalf("setup: fills=%d useful=%d", f, u)
 	}
 
 	c.ResetStats()
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatalf("after reset: hits=%d misses=%d", h, m)
+	if c.hits != 0 || c.misses != 0 {
+		t.Fatalf("after reset: hits=%d misses=%d", c.hits, c.misses)
 	}
 	if f, u := c.PrefetchStats(); f != 0 || u != 0 {
 		t.Fatalf("after reset prefetch counters survived: fills=%d useful=%d", f, u)
@@ -424,8 +424,8 @@ func TestHierarchyResetStats(t *testing.T) {
 	h.Prefetch(0x2000)
 	h.ResetStats()
 	for _, c := range []*Cache{h.L1, h.L2, h.LLC} {
-		if hits, misses := c.Stats(); hits != 0 || misses != 0 {
-			t.Fatalf("%s: hits=%d misses=%d after reset", c.Config().Name, hits, misses)
+		if c.hits != 0 || c.misses != 0 {
+			t.Fatalf("%s: hits=%d misses=%d after reset", c.Config().Name, c.hits, c.misses)
 		}
 		if f, u := c.PrefetchStats(); f != 0 || u != 0 {
 			t.Fatalf("%s: fills=%d useful=%d after reset", c.Config().Name, f, u)

@@ -129,10 +129,6 @@ func (h *Hierarchy) Probe(p mem.PAddr) Level {
 	}
 }
 
-// ProbeLatency reports the latency a load of p would observe, without
-// changing state.
-func (h *Hierarchy) ProbeLatency(p mem.PAddr) uint64 { return h.Lat.Of(h.Probe(p)) }
-
 // Fill installs the line of p into every level, maintaining inclusivity.
 // Prefetchers use this as the fill path for prefetch requests.
 func (h *Hierarchy) Fill(p mem.PAddr) {
@@ -155,15 +151,6 @@ func (h *Hierarchy) Prefetch(p mem.PAddr) {
 	}
 	h.L2.FillPrefetch(p)
 	h.L1.FillPrefetch(p)
-}
-
-// FillLLCOnly installs into the LLC only (used by streamer-style prefetchers
-// configured to fill the outer level).
-func (h *Hierarchy) FillLLCOnly(p mem.PAddr) {
-	if ev, ok := h.LLC.Fill(p); ok {
-		h.L2.RemoveLine(ev)
-		h.L1.RemoveLine(ev)
-	}
 }
 
 func (h *Hierarchy) fillL1(p mem.PAddr) {

@@ -81,9 +81,8 @@ func TestWayPredictorBoundaries(t *testing.T) {
 					t.Fatalf("iteration %d: alias access missed", i)
 				}
 			}
-			hits, misses := c.Stats()
-			if hits != 16 || misses != 0 {
-				t.Fatalf("hits=%d misses=%d, want 16/0", hits, misses)
+			if c.hits != 16 || c.misses != 0 {
+				t.Fatalf("hits=%d misses=%d, want 16/0", c.hits, c.misses)
 			}
 		}},
 		{"duplicate state keeps first-way semantics", func(t *testing.T, parent *Cache) {

@@ -242,29 +242,12 @@ func (c *Client) Events(ctx context.Context, key string, fn func(server.Progress
 	return sc.Err()
 }
 
-// Metrics fetches the /metrics text snapshot (legacy "name value" format).
-func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	return string(body), err
-}
-
-// Prometheus fetches /metrics in the Prometheus 0.0.4 text exposition,
-// negotiated via the Accept header exactly as a real scraper would.
+// Prometheus fetches /metrics, the Prometheus 0.0.4 text exposition.
 func (c *Client) Prometheus(ctx context.Context) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/metrics", nil)
 	if err != nil {
 		return "", err
 	}
-	req.Header.Set("Accept", "text/plain; version=0.0.4")
 	resp, err := c.http().Do(req)
 	if err != nil {
 		return "", err

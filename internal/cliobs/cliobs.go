@@ -17,12 +17,14 @@ package cliobs
 import (
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on DefaultServeMux
 	"os"
+	"strings"
 
 	"afterimage"
-	"afterimage/internal/obslog"
 )
 
 // Flags holds the parsed observability options and the lab under
@@ -61,16 +63,33 @@ func Register() *Flags {
 // Logger builds the structured stderr logger the -log-format/-log-level
 // flags describe. Call after flag.Parse; flag errors are reported rather
 // than silently defaulted.
-func (f *Flags) Logger() (*obslog.Logger, error) {
-	level, err := obslog.ParseLevel(f.LogLevel)
-	if err != nil {
-		return nil, err
+func (f *Flags) Logger() (*slog.Logger, error) {
+	return newLogger(os.Stderr, f.LogLevel, f.LogFormat)
+}
+
+// newLogger builds a log/slog text or JSON logger writing to w at the named
+// level.
+func newLogger(w io.Writer, level, format string) (*slog.Logger, error) {
+	opts := &slog.HandlerOptions{}
+	switch strings.ToLower(strings.TrimSpace(level)) {
+	case "debug":
+		opts.Level = slog.LevelDebug
+	case "info", "":
+		opts.Level = slog.LevelInfo
+	case "warn", "warning":
+		opts.Level = slog.LevelWarn
+	case "error":
+		opts.Level = slog.LevelError
+	default:
+		return nil, fmt.Errorf("cliobs: unknown log level %q (want debug|info|warn|error)", level)
 	}
-	format, err := obslog.ParseFormat(f.LogFormat)
-	if err != nil {
-		return nil, err
+	switch strings.ToLower(strings.TrimSpace(format)) {
+	case "text", "":
+		return slog.New(slog.NewTextHandler(w, opts)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	}
-	return obslog.New(os.Stderr, level, format), nil
+	return nil, fmt.Errorf("cliobs: unknown log format %q (want text|json)", format)
 }
 
 // LabOptions folds the observability flags that configure the lab itself

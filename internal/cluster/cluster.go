@@ -24,6 +24,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -111,9 +112,9 @@ type Config struct {
 	// Registry receives the cluster.* counters and per-worker dispatch
 	// histograms; nil creates a private one.
 	Registry *telemetry.Registry
-	// Logger receives structured membership and failover logs; the nil
-	// *Logger is safe.
-	Logger *obslog.Logger
+	// Logger receives structured membership and failover logs; nil
+	// disables logging.
+	Logger *slog.Logger
 
 	// now overrides the clock (tests).
 	now func() time.Time
@@ -124,7 +125,7 @@ type Coordinator struct {
 	cfg  Config
 	pool *pool
 	reg  *telemetry.Registry
-	log  *obslog.Logger
+	log  *slog.Logger
 
 	started  atomic.Bool
 	stopOnce sync.Once
@@ -193,7 +194,7 @@ func New(cfg Config) *Coordinator {
 		cfg:   cfg,
 		pool:  newPool(reg),
 		reg:   reg,
-		log:   cfg.Logger,
+		log:   obslog.OrDiscard(cfg.Logger),
 		stopc: make(chan struct{}),
 		done:  make(chan struct{}),
 		lat:   newLatencyRing(128),
@@ -280,7 +281,7 @@ func (c *Coordinator) Register(id, addr string) error {
 		p.mu.Unlock()
 		p.registered.Inc()
 		c.log.Info("cluster: worker registered",
-			obslog.F("worker", id), obslog.F("addr", addr))
+			"worker", id, "addr", addr)
 		p.updateHealthyGauge()
 		return nil
 	}
@@ -293,7 +294,7 @@ func (c *Coordinator) Register(id, addr string) error {
 	if revived {
 		p.revived.Inc()
 		c.log.Info("cluster: evicted worker re-registered",
-			obslog.F("worker", w.id), obslog.F("addr", addr))
+			"worker", w.id, "addr", addr)
 	}
 	p.updateHealthyGauge()
 	return nil
@@ -311,8 +312,8 @@ func (c *Coordinator) breakerTransition(w *worker) func(from, to BreakerState) {
 		case BreakerClosed:
 			c.breakerClosed.Inc()
 		}
-		c.log.Info("cluster: breaker transition", obslog.F("worker", w.id),
-			obslog.F("from", from.String()), obslog.F("to", to.String()))
+		c.log.Info("cluster: breaker transition", "worker", w.id,
+			"from", from.String(), "to", to.String())
 	}
 }
 

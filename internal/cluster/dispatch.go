@@ -103,14 +103,13 @@ func (c *Coordinator) Dispatch(ctx context.Context, key string, payload []byte) 
 			// authoritative tiebreak (version skew on a worker must not
 			// fail a campaign the coordinator can run itself).
 			permanentStop = true
-			c.log.Ctx(ctx).Warn("cluster: worker rejected job; degrading to local",
-				obslog.F("key", key), obslog.F("err", err))
+			obslog.Ctx(c.log, ctx).Warn("cluster: worker rejected job; degrading to local",
+				"key", key, "err", err)
 			break
 		}
 		c.failovers.Inc()
-		c.log.Ctx(ctx).Warn("cluster: dispatch round failed; failing over",
-			obslog.F("key", key), obslog.F("round", round),
-			obslog.F("worker", primary.id), obslog.F("err", err))
+		obslog.Ctx(c.log, ctx).Warn("cluster: dispatch round failed; failing over",
+			"key", key, "round", round, "worker", primary.id, "err", err)
 		if round+1 < c.cfg.DispatchRounds {
 			c.retryWaits.Inc()
 			d := runner.Delay(c.cfg.BackoffBase, c.cfg.BackoffMax, c.cfg.Seed, key, round)
@@ -128,8 +127,8 @@ func (c *Coordinator) Dispatch(ctx context.Context, key string, payload []byte) 
 		return nil, fmt.Errorf("cluster: no dispatchable worker for %s and no local fallback", key)
 	}
 	c.degradedLocal.Inc()
-	c.log.Ctx(ctx).Info("cluster: degrading to local execution",
-		obslog.F("key", key), obslog.F("attempts", len(attempts)))
+	obslog.Ctx(c.log, ctx).Info("cluster: degrading to local execution",
+		"key", key, "attempts", len(attempts))
 	body, err := c.cfg.Local(ctx, key, payload)
 	if err != nil {
 		c.dispatchErrors.Inc()
@@ -246,9 +245,8 @@ func (c *Coordinator) raceAttempt(ctx context.Context, key string, payload []byt
 			hedged = true
 			outstanding++
 			c.hedged.Inc()
-			c.log.Ctx(ctx).Info("cluster: hedging straggler dispatch",
-				obslog.F("key", key), obslog.F("primary", primary.id),
-				obslog.F("hedge", hedge.id))
+			obslog.Ctx(c.log, ctx).Info("cluster: hedging straggler dispatch",
+				"key", key, "primary", primary.id, "hedge", hedge.id)
 			go launch(hedge, true)
 		case r := <-resc:
 			outstanding--

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"afterimage/internal/obslog"
 	"afterimage/internal/telemetry"
 )
 
@@ -279,8 +278,7 @@ func (c *Coordinator) probeAll() {
 		if evict {
 			c.pool.evicted.Inc()
 			c.log.Warn("cluster: worker evicted",
-				obslog.F("worker", w.id), obslog.F("addr", w.addr),
-				obslog.F("last_seen", w.lastSeen.Format(time.RFC3339Nano)))
+				"worker", w.id, "addr", w.addr, "last_seen", w.lastSeen.Format(time.RFC3339Nano))
 		}
 	}
 	c.pool.updateHealthyGauge()

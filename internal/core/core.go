@@ -99,13 +99,6 @@ func (g *Gadget) Train(env *sim.Env, rounds int) {
 	}
 }
 
-// TrainOne is a convenience for single-entry training.
-func TrainOne(env *sim.Env, ip uint64, strideLines int64, rounds int) *Gadget {
-	g := MustNewGadget(env, []TrainEntry{{IP: ip, StrideLines: strideLines}})
-	g.Train(env, rounds)
-	return g
-}
-
 func abs64(x int64) int64 {
 	if x < 0 {
 		return -x

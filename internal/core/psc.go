@@ -143,6 +143,3 @@ func (p *PSC) Observe(env *sim.Env, rounds int) bool {
 	env.Yield()
 	return !p.Check(env)
 }
-
-// DebugCursor exposes the chain cursor for diagnostics.
-func (p *PSC) DebugCursor() mem.VAddr { return p.cursor }

@@ -57,9 +57,6 @@ func (s *Source) Seed(seed int64) {
 	s.src.Seed(seed)
 }
 
-// SeedValue returns the seed the source was last seeded with.
-func (s *Source) SeedValue() int64 { return s.seed }
-
 // Draws reports how many values have been drawn since the last (re)seed —
 // together with the seed, the source's complete state.
 func (s *Source) Draws() uint64 { return s.draws }

@@ -115,9 +115,6 @@ func CorruptionKinds() []Kind {
 	return []Kind{CorruptStride, CorruptConfidence, CorruptPLRU, CorruptInclusivity, CorruptTLB, CorruptCrossFrame}
 }
 
-// IsCorruption reports whether k is a state-corruption class.
-func IsCorruption(k Kind) bool { return k >= CorruptStride && k <= CorruptCrossFrame }
-
 // ParseKind inverts Kind.String for every class, contention and corruption.
 func ParseKind(s string) (Kind, error) {
 	for _, k := range append(AllKinds(), CorruptionKinds()...) {

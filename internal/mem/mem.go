@@ -97,9 +97,6 @@ func (p *PhysMemory) AllocFrame() (uint64, error) {
 	return f, nil
 }
 
-// FramesUsed reports how many frames have been allocated.
-func (p *PhysMemory) FramesUsed() uint64 { return p.nextFrame - 1 }
-
 // Mapping describes one mmap-ed region inside an address space.
 type Mapping struct {
 	Base   VAddr

@@ -1,250 +1,59 @@
-// Package obslog is the structured logging layer of the observability
-// spine. It emits one line per event — JSON or logfmt-style text — with a
-// fixed field order (ts, level, msg, then bound fields, then call fields)
-// so that logs are grep-stable and diffable across runs.
+// Package obslog is the glue between the standard library's log/slog and the
+// observability spine. Loggers are plain *slog.Logger values; this package
+// adds only what slog lacks here:
 //
-// The package also owns the correlation-ID context plumbing: a campaign's
-// correlation ID is attached to its context once, at the HTTP boundary, and
-// every layer below (admission, store, runner, sim) stamps it onto log
-// lines and span records via Correlation(ctx). obslog sits below every
-// other internal package so any of them can import it without cycles.
+//   - the correlation-ID context plumbing: a campaign's correlation ID is
+//     attached to its context once, at the HTTP boundary, and every layer
+//     below (admission, store, runner, sim) stamps it onto log lines and
+//     span records via Correlation(ctx);
+//   - Ctx, which binds that ID to a logger as corr=… when there is one;
+//   - a logger that discards everything, the default for a nil Logger in
+//     every config (Go 1.22 has no slog.DiscardHandler).
+//
+// obslog sits below every other internal package so any of them can import
+// it without cycles.
 package obslog
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
-	"sync"
-	"time"
+	"log/slog"
 )
 
-// Level is a log severity. Higher is more severe.
-type Level int
+// discardHandler is a slog.Handler that is never enabled, so a logger on it
+// costs one interface call per line and formats nothing.
+type discardHandler struct{}
 
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
 
-// String renders the canonical lowercase level token.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return fmt.Sprintf("level(%d)", int(l))
-	}
-}
+var discard = slog.New(discardHandler{})
 
-// ParseLevel maps a flag token to a Level.
-func ParseLevel(s string) (Level, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "debug":
-		return LevelDebug, nil
-	case "info", "":
-		return LevelInfo, nil
-	case "warn", "warning":
-		return LevelWarn, nil
-	case "error":
-		return LevelError, nil
-	}
-	return LevelInfo, fmt.Errorf("obslog: unknown level %q (want debug|info|warn|error)", s)
-}
-
-// Format selects the line encoding.
-type Format int
-
-const (
-	// FormatText is a human-oriented logfmt-style line:
-	//   2026-01-02T15:04:05Z INFO  campaign admitted corr=abc key=ff01…
-	FormatText Format = iota
-	// FormatJSON is one JSON object per line with deterministic key order.
-	FormatJSON
-)
-
-// ParseFormat maps a flag token to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "text", "":
-		return FormatText, nil
-	case "json":
-		return FormatJSON, nil
-	}
-	return FormatText, fmt.Errorf("obslog: unknown format %q (want text|json)", s)
-}
-
-// Field is one key/value annotation. Fields are an ordered slice — never a
-// map — so a line's rendering is a pure function of the call.
-type Field struct {
-	Key   string
-	Value string
-}
-
-// F builds a Field from any value, rendering it up front so formatting cost
-// is paid once and the value is frozen at call time.
-func F(key string, value interface{}) Field {
-	var v string
-	switch x := value.(type) {
-	case string:
-		v = x
-	case error:
-		v = x.Error()
-	case fmt.Stringer:
-		v = x.String()
-	case int:
-		v = strconv.Itoa(x)
-	case int64:
-		v = strconv.FormatInt(x, 10)
-	case uint64:
-		v = strconv.FormatUint(x, 10)
-	case float64:
-		v = strconv.FormatFloat(x, 'g', -1, 64)
-	case bool:
-		v = strconv.FormatBool(x)
-	case time.Duration:
-		v = x.String()
-	default:
-		v = fmt.Sprint(x)
-	}
-	return Field{Key: key, Value: v}
-}
-
-// Logger writes structured lines to a sink. A nil *Logger is valid and
-// discards everything, so callers never need a guard. Loggers are safe for
-// concurrent use; lines are written atomically under a mutex shared by all
-// loggers derived from the same root.
-type Logger struct {
-	mu     *sync.Mutex
-	w      io.Writer
-	level  Level
-	format Format
-	now    func() time.Time
-	bound  []Field
-}
-
-// New builds a root logger writing to w at the given level and format.
-func New(w io.Writer, level Level, format Format) *Logger {
-	return &Logger{
-		mu:     &sync.Mutex{},
-		w:      w,
-		level:  level,
-		format: format,
-		now:    time.Now,
-	}
-}
-
-// WithClock returns a copy of the logger using the given time source —
-// tests pin it to a fixed instant and compare whole lines.
-func (l *Logger) WithClock(now func() time.Time) *Logger {
+// OrDiscard returns l, or a logger that discards everything when l is nil.
+// Constructors apply it to their config's Logger field, so callers never
+// need a nil guard.
+func OrDiscard(l *slog.Logger) *slog.Logger {
 	if l == nil {
-		return nil
-	}
-	c := *l
-	c.now = now
-	return &c
-}
-
-// With returns a child logger with the fields appended to its binding;
-// bound fields render before per-call fields on every line.
-func (l *Logger) With(fields ...Field) *Logger {
-	if l == nil {
-		return nil
-	}
-	c := *l
-	c.bound = append(append([]Field(nil), l.bound...), fields...)
-	return &c
-}
-
-// Ctx returns the logger bound with the context's correlation ID (as
-// corr=…), or the logger unchanged if the context carries none.
-func (l *Logger) Ctx(ctx context.Context) *Logger {
-	if l == nil {
-		return nil
-	}
-	if corr := Correlation(ctx); corr != "" {
-		return l.With(F("corr", corr))
+		return discard
 	}
 	return l
 }
 
-// Enabled reports whether a line at the given level would be emitted.
-func (l *Logger) Enabled(level Level) bool {
-	return l != nil && l.w != nil && level >= l.level
-}
-
-// Debug, Info, Warn, Error emit one line at the respective level.
-func (l *Logger) Debug(msg string, fields ...Field) { l.log(LevelDebug, msg, fields) }
-func (l *Logger) Info(msg string, fields ...Field)  { l.log(LevelInfo, msg, fields) }
-func (l *Logger) Warn(msg string, fields ...Field)  { l.log(LevelWarn, msg, fields) }
-func (l *Logger) Error(msg string, fields ...Field) { l.log(LevelError, msg, fields) }
-
-func (l *Logger) log(level Level, msg string, fields []Field) {
-	if !l.Enabled(level) {
-		return
+// Ctx returns l bound with the context's correlation ID (as corr=…), or l
+// unchanged if the context carries none. A nil or discarding l returns the
+// discarding logger without binding anything, so an unconfigured logger
+// stays allocation-free on every request.
+func Ctx(l *slog.Logger, ctx context.Context) *slog.Logger {
+	l = OrDiscard(l)
+	if l.Handler() == (discardHandler{}) {
+		return l
 	}
-	ts := l.now().UTC().Format(time.RFC3339Nano)
-	var b strings.Builder
-	switch l.format {
-	case FormatJSON:
-		b.WriteString(`{"ts":`)
-		b.WriteString(strconv.Quote(ts))
-		b.WriteString(`,"level":`)
-		b.WriteString(strconv.Quote(level.String()))
-		b.WriteString(`,"msg":`)
-		b.WriteString(strconv.Quote(msg))
-		for _, f := range l.bound {
-			writeJSONField(&b, f)
-		}
-		for _, f := range fields {
-			writeJSONField(&b, f)
-		}
-		b.WriteString("}\n")
-	default:
-		b.WriteString(ts)
-		fmt.Fprintf(&b, " %-5s ", strings.ToUpper(level.String()))
-		b.WriteString(msg)
-		for _, f := range l.bound {
-			writeTextField(&b, f)
-		}
-		for _, f := range fields {
-			writeTextField(&b, f)
-		}
-		b.WriteByte('\n')
+	if corr := Correlation(ctx); corr != "" {
+		return l.With("corr", corr)
 	}
-	l.mu.Lock()
-	io.WriteString(l.w, b.String())
-	l.mu.Unlock()
+	return l
 }
-
-func writeJSONField(b *strings.Builder, f Field) {
-	b.WriteByte(',')
-	b.WriteString(strconv.Quote(f.Key))
-	b.WriteByte(':')
-	b.WriteString(strconv.Quote(f.Value))
-}
-
-func writeTextField(b *strings.Builder, f Field) {
-	b.WriteByte(' ')
-	b.WriteString(f.Key)
-	b.WriteByte('=')
-	if strings.ContainsAny(f.Value, " \t\"=") || f.Value == "" {
-		b.WriteString(strconv.Quote(f.Value))
-	} else {
-		b.WriteString(f.Value)
-	}
-}
-
-// correlation-ID context plumbing -----------------------------------------
 
 type corrKey struct{}
 

@@ -3,59 +3,19 @@ package obslog
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"log/slog"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
-func fixedClock() func() time.Time {
-	t0 := time.Date(2026, 1, 2, 15, 4, 5, 0, time.UTC)
-	return func() time.Time { return t0 }
+func jsonLogger(buf *bytes.Buffer, level slog.Level) *slog.Logger {
+	return slog.New(slog.NewJSONHandler(buf, &slog.HandlerOptions{Level: level}))
 }
 
-func TestJSONLineExact(t *testing.T) {
-	var buf bytes.Buffer
-	l := New(&buf, LevelInfo, FormatJSON).WithClock(fixedClock())
-	l.Info("campaign admitted", F("corr", "abc-1"), F("key", "ff01"), F("attempts", 3))
-	want := `{"ts":"2026-01-02T15:04:05Z","level":"info","msg":"campaign admitted","corr":"abc-1","key":"ff01","attempts":"3"}` + "\n"
-	if got := buf.String(); got != want {
-		t.Fatalf("json line:\n got %q\nwant %q", got, want)
-	}
-}
-
-func TestTextLineExact(t *testing.T) {
-	var buf bytes.Buffer
-	l := New(&buf, LevelDebug, FormatText).WithClock(fixedClock())
-	l.Warn("store quarantine", F("path", "/tmp/x y"), F("n", 2))
-	want := `2026-01-02T15:04:05Z WARN  store quarantine path="/tmp/x y" n=2` + "\n"
-	if got := buf.String(); got != want {
-		t.Fatalf("text line:\n got %q\nwant %q", got, want)
-	}
-}
-
-func TestFieldOrderBoundBeforeCall(t *testing.T) {
-	var buf bytes.Buffer
-	l := New(&buf, LevelInfo, FormatJSON).WithClock(fixedClock())
-	child := l.With(F("corr", "c1")).With(F("tenant", "t1"))
-	child.Info("x", F("z", "last"))
-	got := buf.String()
-	ci, ti, zi := strings.Index(got, `"corr"`), strings.Index(got, `"tenant"`), strings.Index(got, `"z"`)
-	if ci < 0 || ti < 0 || zi < 0 || !(ci < ti && ti < zi) {
-		t.Fatalf("field order wrong: %q", got)
-	}
-	// The parent logger is unmodified by With.
-	buf.Reset()
-	l.Info("y")
-	if strings.Contains(buf.String(), "corr") {
-		t.Fatalf("With mutated parent: %q", buf.String())
-	}
-}
-
+// TestLevelFiltering: a logger bound by Ctx keeps its handler's level.
 func TestLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(&buf, LevelWarn, FormatText).WithClock(fixedClock())
+	l := Ctx(jsonLogger(&buf, slog.LevelWarn), WithCorrelation(context.Background(), "c1"))
 	l.Debug("nope")
 	l.Info("nope")
 	l.Warn("yes")
@@ -64,17 +24,30 @@ func TestLevelFiltering(t *testing.T) {
 	if strings.Contains(out, "nope") || !strings.Contains(out, "yes") || !strings.Contains(out, "also") {
 		t.Fatalf("level filtering broken:\n%s", out)
 	}
-	if l.Enabled(LevelInfo) || !l.Enabled(LevelError) {
+	if l.Enabled(context.Background(), slog.LevelInfo) || !l.Enabled(context.Background(), slog.LevelError) {
 		t.Fatal("Enabled disagrees with filtering")
 	}
 }
 
 func TestNilLoggerSafe(t *testing.T) {
-	var l *Logger
-	l.Info("into the void", F("k", "v"))
-	l.With(F("a", "b")).Ctx(context.Background()).Error("still fine")
-	if l.Enabled(LevelError) {
+	ctx := WithCorrelation(context.Background(), "c1")
+	var l *slog.Logger
+	Ctx(l, ctx).Info("into the void", "k", "v")
+	Ctx(OrDiscard(l).With("a", "b"), context.Background()).Error("still fine")
+	if OrDiscard(l).Enabled(ctx, slog.LevelError) {
 		t.Fatal("nil logger claims to be enabled")
+	}
+	if got := Ctx(l, ctx); got != OrDiscard(nil) {
+		t.Fatal("Ctx bound a correlation ID to the discarding logger")
+	}
+}
+
+// TestNilLoggerAllocatesNothing: an unconfigured logger costs no allocation
+// on a request that carries a correlation ID.
+func TestNilLoggerAllocatesNothing(t *testing.T) {
+	ctx := WithCorrelation(context.Background(), "corr-9")
+	if n := testing.AllocsPerRun(100, func() { Ctx(nil, ctx).Info("drain started") }); n != 0 {
+		t.Fatalf("nil logger allocated %v times per line", n)
 	}
 }
 
@@ -91,95 +64,14 @@ func TestCorrelationContext(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	l := New(&buf, LevelInfo, FormatJSON).WithClock(fixedClock())
-	l.Ctx(ctx).Info("stamped")
+	l := jsonLogger(&buf, slog.LevelInfo)
+	Ctx(l, ctx).Info("stamped")
 	if !strings.Contains(buf.String(), `"corr":"corr-9"`) {
 		t.Fatalf("Ctx did not stamp correlation: %q", buf.String())
 	}
 	buf.Reset()
-	l.Ctx(context.Background()).Info("bare")
+	Ctx(l, context.Background()).Info("bare")
 	if strings.Contains(buf.String(), "corr") {
 		t.Fatalf("Ctx stamped a correlation that was not there: %q", buf.String())
 	}
-}
-
-func TestParseLevelAndFormat(t *testing.T) {
-	for in, want := range map[string]Level{"debug": LevelDebug, "info": LevelInfo, "": LevelInfo, "warn": LevelWarn, "warning": LevelWarn, "ERROR": LevelError} {
-		got, err := ParseLevel(in)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel accepted garbage")
-	}
-	for in, want := range map[string]Format{"json": FormatJSON, "text": FormatText, "": FormatText} {
-		got, err := ParseFormat(in)
-		if err != nil || got != want {
-			t.Errorf("ParseFormat(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseFormat("xml"); err == nil {
-		t.Error("ParseFormat accepted garbage")
-	}
-}
-
-func TestFRendering(t *testing.T) {
-	cases := []struct {
-		f    Field
-		want string
-	}{
-		{F("s", "str"), "str"},
-		{F("i", 7), "7"},
-		{F("i64", int64(-9)), "-9"},
-		{F("u64", uint64(18446744073709551615)), "18446744073709551615"},
-		{F("f", 1.5), "1.5"},
-		{F("b", true), "true"},
-		{F("d", 1500*time.Millisecond), "1.5s"},
-		{F("e", fmt.Errorf("boom")), "boom"},
-		{F("lv", LevelWarn), "warn"},
-	}
-	for _, tc := range cases {
-		if tc.f.Value != tc.want {
-			t.Errorf("F(%q) = %q, want %q", tc.f.Key, tc.f.Value, tc.want)
-		}
-	}
-}
-
-// TestConcurrentLogging: concurrent writers interleave whole lines, never
-// partial ones.
-func TestConcurrentLogging(t *testing.T) {
-	var buf bytes.Buffer
-	l := New(&safeWriter{w: &buf}, LevelInfo, FormatJSON).WithClock(fixedClock())
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				l.Info("line", F("w", w), F("i", i))
-			}
-		}(w)
-	}
-	wg.Wait()
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	if len(lines) != 800 {
-		t.Fatalf("got %d lines, want 800", len(lines))
-	}
-	for _, line := range lines {
-		if !strings.HasPrefix(line, `{"ts":`) || !strings.HasSuffix(line, `"}`) {
-			t.Fatalf("torn line: %q", line)
-		}
-	}
-}
-
-type safeWriter struct {
-	mu sync.Mutex
-	w  *bytes.Buffer
-}
-
-func (s *safeWriter) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Write(p)
 }

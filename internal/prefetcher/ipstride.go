@@ -149,16 +149,8 @@ func NewIPStride(cfg IPStrideConfig) *IPStride {
 // Config returns the active configuration.
 func (p *IPStride) Config() IPStrideConfig { return p.cfg }
 
-// Stats returns a copy of the activity counters.
-//
-// Deprecated: read the same values from the machine's telemetry registry
-// (prefetcher.ipstride.*, via RegisterMetrics). Kept so existing callers
-// stay stable; both views sample the same counters and always agree.
-func (p *IPStride) Stats() Stats { return p.stats }
-
-// PrefetchCount returns just the issued-prefetch counter, without copying the
-// whole Stats struct — the per-step accounting in hot simulation loops reads
-// this twice per record.
+// PrefetchCount returns the issued-prefetch counter — the per-step
+// accounting in hot simulation loops reads this twice per record.
 func (p *IPStride) PrefetchCount() uint64 { return p.stats.Prefetches }
 
 // ResetStats clears every activity counter.
@@ -172,7 +164,7 @@ func (p *IPStride) SetTelemetry(h *telemetry.Hub) { p.tel = h }
 // RegisterMetrics exposes the activity counters in reg under prefix
 // (e.g. "prefetcher.ipstride"): .lookups, .trains, .allocs, .evictions,
 // .prefetches, .page_drops, .tlb_skips, .flushes. Samplers read the live
-// counters, so snapshots always match Stats() exactly.
+// counters, so the registry is the one read path for them.
 func (p *IPStride) RegisterMetrics(reg *telemetry.Registry, prefix string) {
 	reg.RegisterFunc(prefix+".lookups", func() uint64 { return p.stats.Lookups })
 	reg.RegisterFunc(prefix+".trains", func() uint64 { return p.stats.Trains })

@@ -214,13 +214,13 @@ func TestPrefetchDroppedAtPageBoundary(t *testing.T) {
 	// target crosses the 4 KiB frame must be dropped.
 	base := uint64(0x50000)
 	feed(p, ip, base+20*line, base+33*line, base+46*line) // 46+13=59 in page: fires
-	before := p.Stats().PageDrops
+	before := p.stats.PageDrops
 	got := feed(p, ip, base+59*line) // target 72 crosses the frame
 	if got != nil {
 		t.Fatalf("cross-page prefetch not dropped: %v", got)
 	}
-	if p.Stats().PageDrops != before+1 {
-		t.Fatalf("PageDrops = %d, want %d", p.Stats().PageDrops, before+1)
+	if p.stats.PageDrops != before+1 {
+		t.Fatalf("PageDrops = %d, want %d", p.stats.PageDrops, before+1)
 	}
 }
 
@@ -237,8 +237,8 @@ func TestTLBMissSkipsPrefetcher(t *testing.T) {
 	if e.LastAddr != mem.PAddr(0x60000+14*line) {
 		t.Fatalf("TLB-missing access mutated entry: last=%#x", uint64(e.LastAddr))
 	}
-	if p.Stats().TLBSkips != 1 {
-		t.Fatalf("TLBSkips = %d, want 1", p.Stats().TLBSkips)
+	if p.stats.TLBSkips != 1 {
+		t.Fatalf("TLBSkips = %d, want 1", p.stats.TLBSkips)
 	}
 }
 
@@ -336,8 +336,8 @@ func TestFlushClearsEverything(t *testing.T) {
 			t.Fatal("entry survived Flush")
 		}
 	}
-	if p.Stats().Flushes != 1 {
-		t.Fatalf("Flushes = %d, want 1", p.Stats().Flushes)
+	if p.stats.Flushes != 1 {
+		t.Fatalf("Flushes = %d, want 1", p.stats.Flushes)
 	}
 }
 
@@ -463,12 +463,12 @@ func TestResetStatsZeroesEveryCounter(t *testing.T) {
 		feed(p, 0x77, base+i*7*line)
 	}
 	p.Flush()
-	s := p.Stats()
+	s := p.stats
 	if s.Lookups == 0 || s.Trains == 0 || s.Allocs == 0 || s.Prefetches == 0 || s.Flushes == 0 {
 		t.Fatalf("setup left counters zero: %+v", s)
 	}
 	p.ResetStats()
-	if p.Stats() != (Stats{}) {
-		t.Fatalf("counters survived reset: %+v", p.Stats())
+	if p.stats != (Stats{}) {
+		t.Fatalf("counters survived reset: %+v", p.stats)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"afterimage/internal/sim"
+	"afterimage/internal/vfs"
 )
 
 // chaosJobs builds n deterministic jobs of which every third fails
@@ -143,10 +144,10 @@ func TestCheckpointWriteDurable(t *testing.T) {
 	if len(keys) != 4 {
 		t.Fatalf("checkpoint holds %d jobs, want 4", len(keys))
 	}
-	if err := SyncDir(dir); err != nil {
+	if err := vfs.OS().SyncDir(dir); err != nil {
 		t.Fatalf("SyncDir on a real directory: %v", err)
 	}
-	if err := SyncDir(filepath.Join(dir, "missing")); err == nil {
+	if err := vfs.OS().SyncDir(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("SyncDir on a missing directory should fail")
 	}
 }

@@ -5,11 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
 
-	"afterimage/internal/obslog"
 	"afterimage/internal/vfs"
 )
 
@@ -52,7 +52,7 @@ type checkpointState struct {
 // runner.checkpoint.degraded. Well-formed files that disagree (wrong schema,
 // wrong fingerprint) still fail loudly: those are configuration errors a
 // recompute would silently paper over.
-func openCheckpoint(path, fingerprint string, resume bool, fsys vfs.FS, c counters, log *obslog.Logger) (*checkpointState, error) {
+func openCheckpoint(path, fingerprint string, resume bool, fsys vfs.FS, c counters, log *slog.Logger) (*checkpointState, error) {
 	st := &checkpointState{
 		path:        path,
 		fingerprint: fingerprint,
@@ -69,7 +69,7 @@ func openCheckpoint(path, fingerprint string, resume bool, fsys vfs.FS, c counte
 	if err != nil {
 		inc(c.checkpointDegraded)
 		log.Warn("checkpoint unreadable; resuming without it (campaign recomputes)",
-			obslog.F("path", path), obslog.F("err", err))
+			"path", path, "err", err)
 		return st, nil
 	}
 	var f checkpointFile
@@ -142,13 +142,6 @@ func (st *checkpointState) discardTemp(tmp string) {
 	if err := st.fs.Remove(tmp); err != nil && !os.IsNotExist(err) {
 		_ = err // nothing further to do; the next write truncates it
 	}
-}
-
-// SyncDir fsyncs a directory so a just-completed rename inside it is durable,
-// not merely atomic. Kept as the package-level durability helper; it is the
-// real-filesystem spelling of vfs.FS.SyncDir.
-func SyncDir(dir string) error {
-	return vfs.OS().SyncDir(dir)
 }
 
 // Fingerprint hashes an arbitrary JSON-encodable campaign description

@@ -26,6 +26,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"sync"
 	"time"
 
@@ -137,7 +138,7 @@ type Options struct {
 	// Logger, when set, receives structured per-job events (retries,
 	// degradations), stamped with the campaign's correlation ID from the
 	// run context. nil disables logging.
-	Logger *obslog.Logger
+	Logger *slog.Logger
 	// Sleep replaces the backoff sleep (tests). nil sleeps on a timer that
 	// also aborts on campaign cancellation.
 	Sleep func(time.Duration)
@@ -269,7 +270,7 @@ func Run(ctx context.Context, jobs []Job, o Options) ([]JobResult, error) {
 			fsys = vfs.OS()
 		}
 		var err error
-		cp, err = openCheckpoint(o.CheckpointPath, o.Fingerprint, o.Resume, fsys, c, o.Logger)
+		cp, err = openCheckpoint(o.CheckpointPath, o.Fingerprint, o.Resume, fsys, c, obslog.OrDiscard(o.Logger))
 		if err != nil {
 			return nil, err
 		}
@@ -309,8 +310,8 @@ func Run(ctx context.Context, jobs []Job, o Options) ([]JobResult, error) {
 			// results in memory are intact, only resumability is lost.
 			cpDead = true
 			inc(c.checkpointDegraded)
-			o.Logger.Ctx(ctx).Warn("checkpoint write failed; checkpointing disabled for this campaign (resume unavailable)",
-				obslog.F("path", o.CheckpointPath), obslog.F("err", err))
+			obslog.Ctx(o.Logger, ctx).Warn("checkpoint write failed; checkpointing disabled for this campaign (resume unavailable)",
+				"path", o.CheckpointPath, "err", err)
 			return
 		}
 		inc(c.checkpointWrites)
@@ -406,9 +407,8 @@ func runJob(ctx context.Context, job Job, o Options, c counters) JobResult {
 			d := Delay(o.BackoffBase, o.BackoffMax, o.Seed, job.Key, attempt)
 			inc(c.backoffWaits)
 			add(c.backoffNanos, uint64(d))
-			o.Logger.Ctx(ctx).Warn("job retrying", obslog.F("job", job.Key),
-				obslog.F("attempt", attempt+1), obslog.F("fault", r.FaultKind),
-				obslog.F("backoff", d), obslog.F("err", err))
+			obslog.Ctx(o.Logger, ctx).Warn("job retrying", "job", job.Key,
+				"attempt", attempt+1, "fault", r.FaultKind, "backoff", d, "err", err)
 			sleepCtx(ctx, d, o.Sleep)
 			continue
 		}
@@ -420,9 +420,8 @@ func runJob(ctx context.Context, job Job, o Options, c counters) JobResult {
 		}
 		r.Degraded = true
 		inc(c.degraded)
-		o.Logger.Ctx(ctx).Warn("job degraded", obslog.F("job", job.Key),
-			obslog.F("attempts", r.Attempts), obslog.F("class", class.String()),
-			obslog.F("err", err))
+		obslog.Ctx(o.Logger, ctx).Warn("job degraded", "job", job.Key,
+			"attempts", r.Attempts, "class", class.String(), "err", err)
 		return r
 	}
 }

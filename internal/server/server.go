@@ -20,8 +20,9 @@
 //	GET  /v1/campaigns/{key}/events   SSE stream of ProgressEvents
 //	POST /v1/store/scrub          run one store integrity-scrub pass now;
 //	                              responds with the ScrubReport JSON
-//	GET  /metrics                 text snapshot of the telemetry registry
-//	                              (runner.* / server.* / store.* counters)
+//	GET  /metrics                 Prometheus 0.0.4 text exposition of the
+//	                              telemetry registry (afterimage_runner_*,
+//	                              afterimage_server_*, afterimage_store_*)
 //	GET  /healthz                 liveness + drain state
 //
 // Disk faults degrade, they never fail a campaign: when the store cannot
@@ -36,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -96,9 +98,8 @@ type Config struct {
 	// RetryAfter is the hint attached to 429/503 responses (default 2s).
 	RetryAfter time.Duration
 	// Logger receives structured request/campaign logs, stamped with each
-	// campaign's correlation ID. nil disables logging (the nil *Logger is
-	// safe to call).
-	Logger *obslog.Logger
+	// campaign's correlation ID. nil disables logging.
+	Logger *slog.Logger
 	// SpanLog, when set, receives one JSONL span record per completed
 	// campaign (telemetry.SpanRecord lines; validate with
 	// telemetry.ValidateSpanLog). Writes are serialised by the server.
@@ -137,7 +138,7 @@ type Server struct {
 	admission *admission
 	progress  *progressHub
 	traces    *traceStore
-	log       *obslog.Logger
+	log       *slog.Logger
 	spanLogMu sync.Mutex
 
 	requests, cacheHits, cacheMisses        *telemetry.Counter
@@ -247,7 +248,7 @@ func New(cfg Config) (*Server, error) {
 		admission:  newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, cfg.TenantQuota, cfg.RetryAfter, reg),
 		progress:   newProgressHub(),
 		traces:     newTraceStore(cfg.TraceRetention),
-		log:        cfg.Logger,
+		log:        obslog.OrDiscard(cfg.Logger),
 
 		requests:           reg.Counter("server.requests"),
 		cacheHits:          reg.Counter("server.cache.hits"),
@@ -292,7 +293,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/campaigns/{key}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/campaigns/{key}/trace", s.handleTrace)
 	mux.HandleFunc("POST /v1/store/scrub", s.handleScrub)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /metrics", metricsHandler(s.reg))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	if s.cfg.Cluster != nil {
 		mux.HandleFunc("POST "+cluster.RegisterPath, s.handleClusterRegister)
@@ -345,7 +346,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.log.Info("drain complete")
 		return nil
 	case <-ctx.Done():
-		s.log.Warn("drain incomplete", obslog.F("err", ctx.Err()))
+		s.log.Warn("drain incomplete", "err", ctx.Err())
 		return fmt.Errorf("server: drain incomplete: %w", ctx.Err())
 	}
 }
@@ -362,7 +363,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	corr := requestCorrelation(r)
 	w.Header().Set(HeaderCampaignID, corr)
 	rctx := obslog.WithCorrelation(r.Context(), corr)
-	rlog := s.log.Ctx(rctx)
+	rlog := obslog.Ctx(s.log, rctx)
 
 	var spec CampaignSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -392,7 +393,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// are served even while draining.
 	if body, ok := s.st.GetCtx(rctx, key); ok {
 		s.cacheHits.Inc()
-		rlog.Debug("cache hit", obslog.F("key", key), obslog.F("tenant", spec.Tenant))
+		rlog.Debug("cache hit", "key", key, "tenant", spec.Tenant)
 		writeResult(w, key, "hit", body)
 		return
 	}
@@ -400,7 +401,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	if s.draining.Load() {
 		s.drainRejected.Inc()
-		rlog.Warn("submit rejected: draining", obslog.F("key", key), obslog.F("tenant", spec.Tenant))
+		rlog.Warn("submit rejected: draining", "key", key, "tenant", spec.Tenant)
 		writeAPIError(w, key, &apiError{Status: http.StatusServiceUnavailable,
 			Msg: "server is draining", RetryAfter: s.cfg.RetryAfter})
 		return
@@ -409,8 +410,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	f, started := s.flightFor(key, spec, corr)
 	if !started {
 		s.joined.Inc()
-		rlog.Debug("joined in-flight campaign", obslog.F("key", key),
-			obslog.F("flight_corr", f.corr))
+		rlog.Debug("joined in-flight campaign", "key", key,
+			"flight_corr", f.corr)
 	}
 	defer f.leave()
 
@@ -443,8 +444,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleScrub(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	rep := s.st.Scrub(r.Context())
-	s.log.Ctx(r.Context()).Info("on-demand store scrub",
-		obslog.F("scanned", rep.Scanned), obslog.F("corrupt", rep.Corrupt))
+	obslog.Ctx(s.log, r.Context()).Info("on-demand store scrub",
+		"scanned", rep.Scanned, "corrupt", rep.Corrupt)
 	writeJSON(w, http.StatusOK, rep)
 }
 
@@ -497,31 +498,31 @@ func (s *Server) execute(f *flight, spec CampaignSpec) {
 		s.st.Unpin(f.key)
 	}()
 
-	flog := s.log.Ctx(f.ctx)
+	flog := obslog.Ctx(s.log, f.ctx)
 	s.progress.publish(ProgressEvent{Type: "queued", Key: f.key, Total: len(spec.Intensities)})
-	flog.Info("campaign queued", obslog.F("key", f.key), obslog.F("tenant", spec.Tenant),
-		obslog.F("points", len(spec.Intensities)))
+	flog.Info("campaign queued", "key", f.key, "tenant", spec.Tenant,
+		"points", len(spec.Intensities))
 	release, aerr := s.admission.acquire(f.ctx, spec.Tenant)
 	if aerr != nil {
 		f.err = aerr
-		flog.Warn("campaign rejected at admission", obslog.F("key", f.key),
-			obslog.F("status", aerr.Status), obslog.F("err", aerr.Msg))
+		flog.Warn("campaign rejected at admission", "key", f.key,
+			"status", aerr.Status, "err", aerr.Msg)
 		s.progress.publish(ProgressEvent{Type: "error", Key: f.key, Err: aerr.Msg})
 		return
 	}
 	defer release()
-	flog.Info("campaign admitted", obslog.F("key", f.key))
+	flog.Info("campaign admitted", "key", f.key)
 
 	body, phases, degraded, err := s.runCampaign(f.ctx, f.key, spec)
 	if err != nil {
 		f.err = s.campaignError(f.ctx, err)
-		flog.Warn("campaign failed", obslog.F("key", f.key),
-			obslog.F("status", f.err.Status), obslog.F("err", err))
+		flog.Warn("campaign failed", "key", f.key,
+			"status", f.err.Status, "err", err)
 		s.progress.publish(ProgressEvent{Type: "error", Key: f.key, Err: f.err.Msg})
 		return
 	}
-	flog.Info("campaign completed", obslog.F("key", f.key), obslog.F("bytes", len(body)),
-		obslog.F("cache_degraded", degraded))
+	flog.Info("campaign completed", "key", f.key, "bytes", len(body),
+		"cache_degraded", degraded)
 	f.body = body
 	f.degraded = degraded
 	if len(phases) > 0 {
@@ -579,8 +580,8 @@ func (s *Server) persistResult(ctx context.Context, key string, body []byte) boo
 		return false
 	}
 	s.degraded.Inc()
-	s.log.Ctx(ctx).Warn("result cache write shed; serving uncached result",
-		obslog.F("key", key), obslog.F("err", err))
+	obslog.Ctx(s.log, ctx).Warn("result cache write shed; serving uncached result",
+		"key", key, "err", err)
 	return true
 }
 
@@ -650,9 +651,8 @@ func (s *Server) runCampaignDispatched(ctx context.Context, key string, spec Cam
 	}
 	degraded := s.persistResult(ctx, key, dres.Body)
 	s.completed.Inc()
-	s.log.Ctx(ctx).Info("campaign dispatched", obslog.F("key", key),
-		obslog.F("mode", dres.Mode), obslog.F("worker", dres.Worker),
-		obslog.F("attempts", len(dres.Attempts)))
+	obslog.Ctx(s.log, ctx).Info("campaign dispatched", "key", key,
+		"mode", dres.Mode, "worker", dres.Worker, "attempts", len(dres.Attempts))
 
 	rec := buildCampaignSpansDispatch(obslog.Correlation(ctx), key, spec, res, dres.Attempts)
 	s.traces.put(rec)
@@ -784,42 +784,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMetrics renders the registry snapshot. The default is the legacy
-// sorted "name value" text (byte-identical to what it always was); a scraper
-// that asks for Prometheus — Accept: text/plain; version=0.0.4 (or an
-// OpenMetrics type), or ?format=prometheus — gets the 0.0.4 text exposition
-// with HELP/TYPE metadata, per-tenant counters as a tenant label, and the
-// latency histograms as cumulative _bucket series.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeMetricsSnapshot(w, r, s.reg)
-}
-
-// writeMetricsSnapshot renders one registry under the /metrics content
-// negotiation — shared by the server and the worker so both expose identical
-// formats.
-func writeMetricsSnapshot(w http.ResponseWriter, r *http.Request, reg *telemetry.Registry) {
-	if wantsPrometheus(r) {
+// metricsHandler serves /metrics for one registry as Prometheus 0.0.4 text
+// exposition: HELP/TYPE metadata, per-tenant counters as a tenant label,
+// and the latency histograms as cumulative _bucket series. The server and
+// the worker share it, so both expose the same format.
+func metricsHandler(reg *telemetry.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", telemetry.PrometheusContentType)
 		telemetry.WritePrometheus(w, reg.Snapshot())
-		return
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, reg.Snapshot().String())
-}
-
-// wantsPrometheus is the /metrics content negotiation: an explicit
-// ?format=prometheus wins, otherwise the Accept header decides (the version
-// token Prometheus scrapers send, or an OpenMetrics media type).
-func wantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus":
-		return true
-	case "legacy":
-		return false
-	}
-	accept := r.Header.Get("Accept")
-	return strings.Contains(accept, "version=0.0.4") ||
-		strings.Contains(accept, "application/openmetrics-text")
 }
 
 // handleHealthz is the load-balancer probe: 200 while serving, 503 once

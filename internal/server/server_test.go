@@ -492,24 +492,25 @@ func TestStatusAndEvents(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint: the /metrics text exposes runner.*, server.*, and
-// store.* counters from the one shared registry.
+// TestMetricsEndpoint: /metrics exposes the runner.*, server.*, and
+// store.* counters of the one shared registry as Prometheus families.
 func TestMetricsEndpoint(t *testing.T) {
 	e := newEnv(t, nil)
 	if _, err := e.cl.Submit(context.Background(), tinySpec(61)); err != nil {
 		t.Fatal(err)
 	}
-	text, err := e.cl.Metrics(context.Background())
+	text, err := e.cl.Prometheus(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{
-		"server.requests", "server.campaigns.executed", "server.cache.misses",
-		"runner.jobs.completed", "runner.checkpoint.writes",
-		"store.writes", "server.tenant.t1.requests",
+	for _, family := range []string{
+		"afterimage_server_requests_total", "afterimage_server_campaigns_executed_total",
+		"afterimage_server_cache_misses_total", "afterimage_runner_jobs_completed_total",
+		"afterimage_runner_checkpoint_writes_total", "afterimage_store_writes_total",
+		`afterimage_server_tenant_requests_total{tenant="t1"}`,
 	} {
-		if !strings.Contains(text, name) {
-			t.Errorf("/metrics missing %s", name)
+		if !strings.Contains(text, "\n"+family+" ") {
+			t.Errorf("/metrics missing %s", family)
 		}
 	}
 	// And a health check for completeness.

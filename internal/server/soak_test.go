@@ -207,19 +207,21 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-// metricValue scrapes one counter from the live server's /metrics text.
+// metricValue scrapes one registry counter from the live server's /metrics
+// exposition, where it is the afterimage_<name, dots→_>_total family.
 func metricValue(t *testing.T, cl *client.Client, name string) uint64 {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	text, err := cl.Metrics(ctx)
+	text, err := cl.Prometheus(ctx)
 	if err != nil {
 		return 0 // mid-kill scrapes may fail; callers poll
 	}
+	family := "afterimage_" + strings.ReplaceAll(name, ".", "_") + "_total"
 	sc := bufio.NewScanner(strings.NewReader(text))
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
-		if len(fields) == 2 && fields[0] == name {
+		if len(fields) == 2 && fields[0] == family {
 			v, err := strconv.ParseUint(fields[1], 10, 64)
 			if err != nil {
 				t.Fatalf("unparseable metric line %q: %v", sc.Text(), err)

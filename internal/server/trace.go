@@ -219,7 +219,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "chrome" {
 		w.Header().Set("Content-Type", "application/json")
 		if err := telemetry.WriteSpanChromeTrace(w, rec); err != nil {
-			s.log.Ctx(r.Context()).Error("trace export failed", obslog.F("key", key), obslog.F("err", err))
+			obslog.Ctx(s.log, r.Context()).Error("trace export failed", "key", key, "err", err)
 		}
 		return
 	}

@@ -285,29 +285,15 @@ func TestHealthzDraining(t *testing.T) {
 	}
 }
 
-// TestMetricsContentNegotiation: the default /metrics stays byte-identical
-// to the legacy format; a Prometheus Accept header (or ?format=prometheus)
-// switches to validator-clean 0.0.4 exposition with the per-stage latency
-// histograms and tenant labels.
+// TestMetricsContentNegotiation: /metrics is validator-clean 0.0.4
+// exposition with the per-stage latency histograms and tenant labels, served
+// with the Prometheus content type with or without an Accept header.
 func TestMetricsContentNegotiation(t *testing.T) {
 	e := newEnv(t, nil)
 	if _, err := e.cl.Submit(context.Background(), tinySpec(251)); err != nil {
 		t.Fatal(err)
 	}
 
-	// Legacy default: exactly the registry snapshot's rendering.
-	legacy, err := e.cl.Metrics(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := e.reg.Snapshot().String(); legacy != want {
-		t.Fatalf("legacy /metrics is not the snapshot rendering:\n%q\nvs\n%q", legacy, want)
-	}
-	if strings.Contains(legacy, "# TYPE") {
-		t.Fatal("legacy /metrics grew Prometheus metadata")
-	}
-
-	// Prometheus via Accept negotiation.
 	prom, err := e.cl.Prometheus(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -330,8 +316,8 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		}
 	}
 
-	// Explicit ?format=prometheus, and the content type both ways.
-	resp, err := http.Get(e.hs.URL + "/metrics?format=prometheus")
+	// A bare GET with no Accept header gets the same exposition.
+	resp, err := http.Get(e.hs.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,6 +326,6 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		t.Fatalf("prometheus content type %q", ct)
 	}
 	if _, err := telemetry.ValidatePrometheus(resp.Body); err != nil {
-		t.Fatalf("?format=prometheus invalid: %v", err)
+		t.Fatalf("bare /metrics invalid: %v", err)
 	}
 }

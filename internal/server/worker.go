@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -39,7 +40,7 @@ type WorkerConfig struct {
 	// private one.
 	Registry *telemetry.Registry
 	// Logger receives structured per-job logs. nil disables logging.
-	Logger *obslog.Logger
+	Logger *slog.Logger
 }
 
 // Worker is the lab-pool execution node: the same campaign validation and
@@ -50,7 +51,7 @@ type WorkerConfig struct {
 type Worker struct {
 	cfg WorkerConfig
 	reg *telemetry.Registry
-	log *obslog.Logger
+	log *slog.Logger
 
 	sem      chan struct{}
 	draining atomic.Bool
@@ -85,7 +86,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	return &Worker{
 		cfg: cfg,
 		reg: reg,
-		log: cfg.Logger,
+		log: obslog.OrDiscard(cfg.Logger),
 		sem: make(chan struct{}, cfg.MaxConcurrent),
 
 		requests:  reg.Counter("worker.requests"),
@@ -105,9 +106,7 @@ func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+cluster.ExecutePath, w.handleExecute)
 	mux.HandleFunc("GET /healthz", w.handleHealthz)
-	mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, r *http.Request) {
-		writeMetricsSnapshot(rw, r, w.reg)
-	})
+	mux.HandleFunc("GET /metrics", metricsHandler(w.reg))
 	return mux
 }
 
@@ -152,7 +151,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 
 	corr := requestCorrelation(r)
 	ctx := obslog.WithCorrelation(r.Context(), corr)
-	wlog := w.log.Ctx(ctx)
+	wlog := obslog.Ctx(w.log, ctx)
 
 	var spec CampaignSpec
 	dec := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 1<<20))
@@ -180,7 +179,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	w.executed.Inc()
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)
-	wlog.Info("worker job started", obslog.F("key", key), obslog.F("worker", w.cfg.ID))
+	wlog.Info("worker job started", "key", key, "worker", w.cfg.ID)
 	body, err := w.runJob(ctx, key, spec)
 	if err != nil {
 		w.failed.Inc()
@@ -190,12 +189,12 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 			// the checkpoint keeps completed points for the next attempt.
 			status = http.StatusServiceUnavailable
 		}
-		wlog.Warn("worker job failed", obslog.F("key", key), obslog.F("err", err))
+		wlog.Warn("worker job failed", "key", key, "err", err)
 		writeJSON(rw, status, map[string]string{"error": err.Error()})
 		return
 	}
 	w.completed.Inc()
-	wlog.Info("worker job completed", obslog.F("key", key), obslog.F("bytes", len(body)))
+	wlog.Info("worker job completed", "key", key, "bytes", len(body))
 	rw.Header().Set("Content-Type", "application/json")
 	rw.Header().Set(cluster.HeaderJobKey, key)
 	rw.WriteHeader(http.StatusOK)
@@ -252,13 +251,14 @@ func (w *Worker) handleHealthz(rw http.ResponseWriter, _ *http.Request) {
 // interval until ctx ends. Periodic re-registration is the revival path: a
 // worker the coordinator evicted (or a restarted coordinator with an empty
 // pool) re-learns the worker within one interval.
-func RegisterLoop(ctx context.Context, httpc *http.Client, coordinator string, req cluster.RegisterRequest, interval time.Duration, log *obslog.Logger) {
+func RegisterLoop(ctx context.Context, httpc *http.Client, coordinator string, req cluster.RegisterRequest, interval time.Duration, log *slog.Logger) {
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
 	if interval <= 0 {
 		interval = time.Second
 	}
+	log = obslog.OrDiscard(log)
 	register := func() {
 		raw, err := json.Marshal(req)
 		if err != nil {
@@ -275,13 +275,13 @@ func RegisterLoop(ctx context.Context, httpc *http.Client, coordinator string, r
 		resp, err := httpc.Do(hreq)
 		if err != nil {
 			log.Debug("worker registration attempt failed",
-				obslog.F("coordinator", coordinator), obslog.F("err", err))
+				"coordinator", coordinator, "err", err)
 			return
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			log.Warn("worker registration rejected",
-				obslog.F("coordinator", coordinator), obslog.F("status", resp.StatusCode))
+				"coordinator", coordinator, "status", resp.StatusCode)
 		}
 	}
 	register()

@@ -4,28 +4,37 @@ import (
 	"fmt"
 	"strings"
 
-	"afterimage/internal/invariant"
 	"afterimage/internal/mem"
 )
 
-// buildInvariants wires the per-component structural checkers into the
-// machine's registry. Component names are stable: prefetcher.ipstride,
-// cache.hierarchy, tlb, sched.
-func (m *Machine) buildInvariants() *invariant.Registry {
-	reg := invariant.New()
-	reg.Register("prefetcher.ipstride", func() []invariant.Violation {
-		return asViolations("prefetcher.ipstride", m.Pref.Audit())
-	})
-	reg.Register("cache.hierarchy", func() []invariant.Violation {
-		return asViolations("cache.hierarchy", m.Mem.Audit())
-	})
-	reg.Register("tlb", func() []invariant.Violation {
-		vs := asViolations("tlb", m.TLB.Audit())
-		return append(vs, m.auditTLBCoherence()...)
-	})
-	reg.Register("sched", m.auditScheduler)
-	reg.Register("mem.spaces", m.auditSpaces)
-	return reg
+// Violation is one broken structural rule, attributed to the component whose
+// checker found it.
+type Violation struct {
+	// Component names the checker: "prefetcher.ipstride",
+	// "cache.hierarchy", "tlb", "sched" or "mem.spaces".
+	Component string
+	// Detail describes the violated rule and the offending state.
+	Detail string
+}
+
+// String renders the violation for fault messages and reports.
+func (v Violation) String() string { return v.Component + ": " + v.Detail }
+
+func violationf(component, format string, args ...interface{}) Violation {
+	return Violation{Component: component, Detail: fmt.Sprintf(format, args...)}
+}
+
+// violations runs every structural checker and concatenates what they find,
+// always in this order: prefetcher.ipstride, cache.hierarchy, tlb (entries,
+// then coherence with the page tables), sched, mem.spaces. Each checker is
+// read-only.
+func (m *Machine) violations() []Violation {
+	vs := asViolations("prefetcher.ipstride", m.Pref.Audit())
+	vs = append(vs, asViolations("cache.hierarchy", m.Mem.Audit())...)
+	vs = append(vs, asViolations("tlb", m.TLB.Audit())...)
+	vs = append(vs, m.auditTLBCoherence()...)
+	vs = append(vs, m.auditScheduler()...)
+	return append(vs, m.auditSpaces()...)
 }
 
 // auditSpaces checks machine↔address-space wiring: every space (kernel plus
@@ -34,12 +43,12 @@ func (m *Machine) buildInvariants() *invariant.Registry {
 // identity check is what catches a botched fork: a forked machine whose
 // noiseRegion still aims at the parent's mapping would silently read the
 // parent's layout.
-func (m *Machine) auditSpaces() []invariant.Violation {
-	var vs []invariant.Violation
+func (m *Machine) auditSpaces() []Violation {
+	var vs []Violation
 	seen := map[uint64]string{m.Kernel.AS.ID: m.Kernel.Name}
 	for _, p := range m.procs {
 		if prev, dup := seen[p.AS.ID]; dup {
-			vs = append(vs, invariant.Violationf("mem.spaces", "address spaces %q and %q share ASID %d", prev, p.Name, p.AS.ID))
+			vs = append(vs, violationf("mem.spaces", "address spaces %q and %q share ASID %d", prev, p.Name, p.AS.ID))
 		}
 		seen[p.AS.ID] = p.Name
 	}
@@ -51,17 +60,17 @@ func (m *Machine) auditSpaces() []invariant.Violation {
 		}
 	}
 	if !owned {
-		vs = append(vs, invariant.Violationf("mem.spaces", "kernel noise region %#x not among this machine's kernel mappings", uint64(m.noiseRegion.Base)))
+		vs = append(vs, violationf("mem.spaces", "kernel noise region %#x not among this machine's kernel mappings", uint64(m.noiseRegion.Base)))
 	} else if _, ok := m.Kernel.AS.Translate(m.noiseRegion.Base); !ok {
-		vs = append(vs, invariant.Violationf("mem.spaces", "kernel noise region base %#x has no translation", uint64(m.noiseRegion.Base)))
+		vs = append(vs, violationf("mem.spaces", "kernel noise region base %#x has no translation", uint64(m.noiseRegion.Base)))
 	}
 	return vs
 }
 
-func asViolations(component string, errs []error) []invariant.Violation {
-	var vs []invariant.Violation
+func asViolations(component string, errs []error) []Violation {
+	var vs []Violation
 	for _, err := range errs {
-		vs = append(vs, invariant.Violation{Component: component, Detail: err.Error()})
+		vs = append(vs, Violation{Component: component, Detail: err.Error()})
 	}
 	return vs
 }
@@ -69,20 +78,20 @@ func asViolations(component string, errs []error) []invariant.Violation {
 // auditTLBCoherence walks every valid TLB entry and checks it is backed by a
 // page-table translation in the address space owning that ASID: a cached
 // translation with no backing page is the desync a missed shootdown leaves.
-func (m *Machine) auditTLBCoherence() []invariant.Violation {
+func (m *Machine) auditTLBCoherence() []Violation {
 	spaces := map[uint64]*mem.AddressSpace{m.Kernel.AS.ID: m.Kernel.AS}
 	for _, p := range m.procs {
 		spaces[p.AS.ID] = p.AS
 	}
-	var vs []invariant.Violation
+	var vs []Violation
 	m.TLB.VisitEntries(func(asid, vpn uint64) {
 		as, ok := spaces[asid]
 		if !ok {
-			vs = append(vs, invariant.Violationf("tlb", "entry (asid %d, vpn %#x) references unknown address space", asid, vpn))
+			vs = append(vs, violationf("tlb", "entry (asid %d, vpn %#x) references unknown address space", asid, vpn))
 			return
 		}
 		if _, ok := as.Translate(mem.VAddr(vpn << mem.PageShift)); !ok {
-			vs = append(vs, invariant.Violationf("tlb", "entry (asid %d, vpn %#x) has no page-table backing in %q (stale translation)", asid, vpn, as.Name))
+			vs = append(vs, violationf("tlb", "entry (asid %d, vpn %#x) has no page-table backing in %q (stale translation)", asid, vpn, as.Name))
 		}
 	})
 	return vs
@@ -90,17 +99,17 @@ func (m *Machine) auditTLBCoherence() []invariant.Violation {
 
 // auditScheduler checks run-loop bookkeeping: while a run is active the
 // current task must exist, be registered and not be done.
-func (m *Machine) auditScheduler() []invariant.Violation {
+func (m *Machine) auditScheduler() []Violation {
 	s := m.sched
 	if !s.running {
 		return nil
 	}
-	var vs []invariant.Violation
+	var vs []Violation
 	if s.current == nil {
-		return append(vs, invariant.Violationf("sched", "running with no current task"))
+		return append(vs, violationf("sched", "running with no current task"))
 	}
 	if s.current.done {
-		vs = append(vs, invariant.Violationf("sched", "current task %q already done", s.current.name))
+		vs = append(vs, violationf("sched", "current task %q already done", s.current.name))
 	}
 	found := false
 	for _, t := range s.tasks {
@@ -110,19 +119,19 @@ func (m *Machine) auditScheduler() []invariant.Violation {
 		}
 	}
 	if !found {
-		vs = append(vs, invariant.Violationf("sched", "current task %q not registered", s.current.name))
+		vs = append(vs, violationf("sched", "current task %q not registered", s.current.name))
 	}
 	return vs
 }
 
-// Audit runs every registered invariant checker over the machine's state.
+// Audit runs every structural checker over the machine's state.
 // It returns nil when the state is structurally sound, or a FaultCorruption
 // *SimFault whose message lists every violation. The check is read-only:
 // the clock does not advance and no RNG is drawn, so auditing never changes
 // simulated outcomes.
 func (m *Machine) Audit() error {
 	m.auditRuns++
-	vs := m.inv.Audit()
+	vs := m.violations()
 	if len(vs) == 0 {
 		m.lastViolations = nil
 		return nil
@@ -142,12 +151,9 @@ func (m *Machine) Audit() error {
 
 // AuditViolations returns the violations found by the most recent failing
 // Audit (nil after a clean one).
-func (m *Machine) AuditViolations() []invariant.Violation {
-	return append([]invariant.Violation(nil), m.lastViolations...)
+func (m *Machine) AuditViolations() []Violation {
+	return append([]Violation(nil), m.lastViolations...)
 }
-
-// AuditComponents lists the registered checker names.
-func (m *Machine) AuditComponents() []string { return m.inv.Components() }
 
 // SetAuditEvery enables the audit cadence: a full invariant audit every n
 // domain switches, with a failing audit surfacing as a FaultCorruption task

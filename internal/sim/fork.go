@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"afterimage/internal/mem"
-	"afterimage/internal/telemetry"
 )
 
 // Fork produces an independent machine whose simulated state is
@@ -25,8 +24,8 @@ import (
 // Rebuilt fresh (per-machine identity, never shared): the scheduler, the
 // telemetry hub with its registry samplers and latency histogram (samplers
 // are closures over live counters — sharing them would let one machine's
-// metrics read another's state), the invariant registry, and the way
-// predictors and scratch buffers, which cache only locations and capacity.
+// metrics read another's state), and the way predictors and scratch
+// buffers, which cache only locations and capacity.
 //
 // Not carried over: the perturber, cancellation probe, pending fault and
 // last-audit diagnostics — per-run harness attachments, installed by the
@@ -106,25 +105,7 @@ func (m *Machine) Fork() (*Machine, error) {
 
 	f.sched = newScheduler(f)
 
-	// Fresh hub + metric registration, mirroring NewMachineChecked: every
-	// sampler closes over the FORK's counters.
-	f.tel = telemetry.NewHub()
-	f.tel.SetClock(func() uint64 { return f.clock })
-	reg := f.tel.Registry()
-	f.Mem.RegisterMetrics(reg)
-	f.TLB.RegisterMetrics(reg)
-	f.Pref.RegisterMetrics(reg)
-	f.Pref.SetTelemetry(f.tel)
-	reg.RegisterFunc("sched.switches", func() uint64 { return f.domainSwitches })
-	reg.RegisterFunc("sched.syscalls", func() uint64 { return f.syscallCount })
-	reg.RegisterFunc("audit.runs", func() uint64 { return f.auditRuns })
-	reg.RegisterFunc("audit.violations", func() uint64 { return f.auditViolation })
-	f.inv = f.buildInvariants()
-	cfg := f.Cfg
-	f.latHist = reg.Histogram("mem.load.latency", []uint64{
-		cfg.Hierarchy.Lat.L1 + 1, cfg.Hierarchy.Lat.L2 + 1, cfg.Hierarchy.Lat.LLC + 1,
-		cfg.Measure.HitThreshold, cfg.Hierarchy.Lat.DRAM + cfg.TLB.WalkLatency + 1,
-	})
+	f.newTelemetry()
 	return f, nil
 }
 

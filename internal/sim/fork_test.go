@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // Forked-machine selfcheck suite: Machine.Fork must hand back a machine the
-// full invariant registry accepts (TLB coherence under remapped ASIDs,
+// full audit accepts (TLB coherence under remapped ASIDs,
 // noise-region identity, distinct spaces) and on which every corruption
 // class is still caught — with corruption on either side of the fork
 // invisible to the other.

@@ -6,7 +6,6 @@ import (
 
 	"afterimage/internal/cache"
 	"afterimage/internal/detrand"
-	"afterimage/internal/invariant"
 	"afterimage/internal/mem"
 	"afterimage/internal/prefetcher"
 	"afterimage/internal/telemetry"
@@ -105,9 +104,6 @@ type Machine struct {
 	tel     *telemetry.Hub
 	latHist *telemetry.Histogram // demand-load latency distribution
 
-	// inv is the invariant registry behind Audit; built at construction.
-	inv *invariant.Registry
-
 	// auditEvery enables the audit cadence: a full Audit every N domain
 	// switches (0 = disabled). sinceAudit counts switches since the last one.
 	auditEvery     int
@@ -117,7 +113,7 @@ type Machine struct {
 
 	// lastViolations holds the violations of the most recent failing audit,
 	// for diagnosis after the fault surfaces.
-	lastViolations []invariant.Violation
+	lastViolations []Violation
 
 	// pendingFault carries an audit fault raised on the scheduler's run-loop
 	// goroutine (inside domainSwitch) to a task goroutine: checkBudget
@@ -189,6 +185,14 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 	m.noiseRegion = noiseRegion
 	m.sched = newScheduler(m)
 
+	m.newTelemetry()
+	return m, nil
+}
+
+// newTelemetry gives the machine a fresh observability hub whose samplers
+// close over this machine's own counters. Construction and Fork both call
+// it, so a fork never reads its parent's metrics.
+func (m *Machine) newTelemetry() {
 	m.tel = telemetry.NewHub()
 	m.tel.SetClock(func() uint64 { return m.clock })
 	reg := m.tel.Registry()
@@ -200,14 +204,13 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 	reg.RegisterFunc("sched.syscalls", func() uint64 { return m.syscallCount })
 	reg.RegisterFunc("audit.runs", func() uint64 { return m.auditRuns })
 	reg.RegisterFunc("audit.violations", func() uint64 { return m.auditViolation })
-	m.inv = m.buildInvariants()
 	// Bucket bounds straddle the configured level latencies and the hit/miss
 	// threshold, so the histogram separates L1/L2/LLC/DRAM populations.
+	cfg := m.Cfg
 	m.latHist = reg.Histogram("mem.load.latency", []uint64{
 		cfg.Hierarchy.Lat.L1 + 1, cfg.Hierarchy.Lat.L2 + 1, cfg.Hierarchy.Lat.LLC + 1,
 		cfg.Measure.HitThreshold, cfg.Hierarchy.Lat.DRAM + cfg.TLB.WalkLatency + 1,
 	})
-	return m, nil
 }
 
 // Telemetry returns the machine's observability hub.

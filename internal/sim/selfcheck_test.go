@@ -32,9 +32,6 @@ func TestAuditCleanMachine(t *testing.T) {
 	if v := m.AuditViolations(); len(v) != 0 {
 		t.Fatalf("clean audit left recorded violations: %v", v)
 	}
-	if comps := m.AuditComponents(); len(comps) < 4 {
-		t.Fatalf("registry has %d checkers, want >= 4 (%v)", len(comps), comps)
-	}
 }
 
 // corruptionCases enumerates every corruption class the fault engine can
@@ -105,6 +102,33 @@ func TestAuditCatchesCorruptionClasses(t *testing.T) {
 			m, _, _ := warmMachine(t)
 			auditMustCatch(t, m, tc)
 		})
+	}
+}
+
+// TestAuditViolationOrderFixed: with two components corrupted at once, the
+// violations come back in the audit's fixed component order (prefetcher
+// before TLB), both in AuditViolations and in the FaultCorruption message
+// that ends up in SweepPoint.Err.
+func TestAuditViolationOrderFixed(t *testing.T) {
+	m, _, _ := warmMachine(t)
+	m.TLB.CorruptInsert(m.Kernel.AS.ID, 0x3)
+	m.Pref.IPStride.CorruptStride(0, m.Cfg.IPStride.MaxStrideBytes+512)
+	err := m.Audit()
+	if f, ok := AsFault(err); !ok || f.Kind != FaultCorruption {
+		t.Fatalf("got %v, want a corruption SimFault", err)
+	}
+	var comps []string
+	for _, v := range m.AuditViolations() {
+		if len(comps) == 0 || comps[len(comps)-1] != v.Component {
+			comps = append(comps, v.Component)
+		}
+	}
+	if strings.Join(comps, ",") != "prefetcher.ipstride,tlb" {
+		t.Fatalf("violation components %v, want [prefetcher.ipstride tlb]", comps)
+	}
+	msg := err.Error()
+	if p, tl := strings.Index(msg, "prefetcher.ipstride: "), strings.Index(msg, "; tlb: "); p < 0 || tl < p {
+		t.Fatalf("fault message lists tlb before prefetcher.ipstride: %q", msg)
 	}
 }
 

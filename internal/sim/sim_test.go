@@ -317,15 +317,22 @@ func TestShuffleIsPermutation(t *testing.T) {
 	}
 }
 
+// ipstrideAllocs reads the IP-stride allocation counter from the machine's
+// metrics registry.
+func ipstrideAllocs(m *Machine) uint64 {
+	v, _ := m.Telemetry().Registry().Snapshot().Get("prefetcher.ipstride.allocs")
+	return v
+}
+
 func TestSyscallNoiseDisturbsPrefetcher(t *testing.T) {
 	m := NewMachine(CoffeeLake(5)) // noisy config
 	m.RegisterSyscall(7, func(e *Env, args ...uint64) uint64 { return 0 })
 	env := m.Direct(m.NewProcess("p"))
-	before := m.Pref.IPStride.Stats().Allocs
+	before := ipstrideAllocs(m)
 	for i := 0; i < 4; i++ {
 		env.Syscall(7)
 	}
-	if after := m.Pref.IPStride.Stats().Allocs; after == before {
+	if after := ipstrideAllocs(m); after == before {
 		t.Fatal("syscall path produced no prefetcher activity (noise model dead)")
 	}
 }
@@ -334,9 +341,9 @@ func TestQuietSyscallIsSilent(t *testing.T) {
 	m := quietMachine()
 	m.RegisterSyscall(7, func(e *Env, args ...uint64) uint64 { return 0 })
 	env := m.Direct(m.NewProcess("p"))
-	before := m.Pref.IPStride.Stats().Allocs
+	before := ipstrideAllocs(m)
 	env.Syscall(7)
-	if after := m.Pref.IPStride.Stats().Allocs; after != before {
+	if after := ipstrideAllocs(m); after != before {
 		t.Fatal("quiet machine's syscall touched the prefetcher")
 	}
 }

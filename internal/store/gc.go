@@ -4,8 +4,6 @@ import (
 	"os"
 	"sort"
 	"time"
-
-	"afterimage/internal/obslog"
 )
 
 // Retention / garbage collection: the store enforces a configurable size
@@ -110,7 +108,7 @@ func (s *Store) evictLocked(now time.Time, justWritten string) {
 		}
 		if err := s.fs.Remove(s.path(v.key)); err != nil && !os.IsNotExist(err) {
 			s.log.Warn("store GC could not evict entry",
-				obslog.F("key", v.key), obslog.F("err", err))
+				"key", v.key, "err", err)
 			continue
 		}
 		s.total -= v.meta.size
@@ -118,7 +116,7 @@ func (s *Store) evictLocked(now time.Time, justWritten string) {
 		s.setBytesGauge()
 		inc(s.gcEvictions)
 		add(s.gcBytes, uint64(v.meta.size))
-		s.log.Debug("store GC evicted entry", obslog.F("key", v.key),
-			obslog.F("bytes", v.meta.size), obslog.F("total", s.total))
+		s.log.Debug("store GC evicted entry", "key", v.key,
+			"bytes", v.meta.size, "total", s.total)
 	}
 }

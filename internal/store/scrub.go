@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"time"
-
-	"afterimage/internal/obslog"
 )
 
 // The scrubber turns the store's lazy integrity checking proactive: instead
@@ -66,12 +64,12 @@ func (s *Store) scrub(ctx context.Context, rate int) ScrubReport {
 			inc(s.scrubCorrupt)
 			s.quarantine(p)
 			s.log.Warn("scrubber quarantined corrupt entry",
-				obslog.F("key", key), obslog.F("err", derr))
+				"key", key, "err", derr)
 		}
 	}
 	if rep.Corrupt > 0 {
-		s.log.Info("scrub pass complete", obslog.F("scanned", rep.Scanned),
-			obslog.F("corrupt", rep.Corrupt))
+		s.log.Info("scrub pass complete", "scanned", rep.Scanned,
+			"corrupt", rep.Corrupt)
 	}
 	return rep
 }

@@ -51,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -112,7 +113,7 @@ type Options struct {
 	BreakerCooldown time.Duration
 	// Logger receives structured quarantine/scrub/GC/degrade events; nil
 	// disables logging.
-	Logger *obslog.Logger
+	Logger *slog.Logger
 }
 
 // Store is a directory of content-addressed entries. All methods are safe
@@ -147,7 +148,7 @@ type Store struct {
 	bytesGauge                              *telemetry.Gauge
 	readUS, writeUS                         *telemetry.Histogram
 
-	log *obslog.Logger
+	log *slog.Logger
 }
 
 // entryMeta is the in-memory size/recency index behind the GC: enough to
@@ -191,7 +192,7 @@ func OpenWith(o Options) (*Store, int, error) {
 		minAge:    o.MinEvictAge,
 		scrubRate: o.ScrubRate,
 		health:    cluster.NewBreaker(o.BreakerThreshold, o.BreakerCooldown),
-		log:       o.Logger,
+		log:       obslog.OrDiscard(o.Logger),
 	}
 	if reg := o.Registry; reg != nil {
 		s.hits = reg.Counter("store.hits")
@@ -271,11 +272,6 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key[:2], key+entrySuffix)
 }
 
-// SetLogger installs the structured logger the store stamps quarantine and
-// write events with. Call before serving; a nil logger (the default)
-// disables logging.
-func (s *Store) SetLogger(l *obslog.Logger) { s.log = l }
-
 // Get returns the payload stored under key and whether it was present. An
 // entry that fails the integrity check is quarantined and reported as a
 // miss — the caller recomputes and the next Put rewrites it.
@@ -308,8 +304,8 @@ func (s *Store) GetCtx(ctx context.Context, key string) ([]byte, bool) {
 		inc(s.corrupt)
 		inc(s.misses)
 		s.quarantine(p)
-		s.log.Ctx(ctx).Warn("store entry failed integrity check; quarantined",
-			obslog.F("key", key), obslog.F("err", err))
+		obslog.Ctx(s.log, ctx).Warn("store entry failed integrity check; quarantined",
+			"key", key, "err", err)
 		return nil, false
 	}
 	inc(s.hits)
@@ -345,7 +341,7 @@ func (s *Store) PutCtx(ctx context.Context, key string, payload []byte) error {
 	if !s.health.Allow(time.Now()) {
 		inc(s.breakerDropped)
 		inc(s.degradedWrites)
-		s.log.Ctx(ctx).Warn("store write dropped: health breaker open", obslog.F("key", key))
+		obslog.Ctx(s.log, ctx).Warn("store write dropped: health breaker open", "key", key)
 		return fmt.Errorf("%w (key %s)", ErrDegraded, key)
 	}
 	size, err := s.writeEntry(key, payload)
@@ -353,14 +349,14 @@ func (s *Store) PutCtx(ctx context.Context, key string, payload []byte) error {
 		s.health.Failure(time.Now())
 		inc(s.putErrors)
 		inc(s.degradedWrites)
-		s.log.Ctx(ctx).Warn("store write failed; cache write shed",
-			obslog.F("key", key), obslog.F("err", err))
+		obslog.Ctx(s.log, ctx).Warn("store write failed; cache write shed",
+			"key", key, "err", err)
 		return err
 	}
 	s.health.Success(time.Now())
 	inc(s.writes)
 	s.recordWrite(key, size, time.Now())
-	s.log.Ctx(ctx).Debug("store write", obslog.F("key", key), obslog.F("bytes", len(payload)))
+	obslog.Ctx(s.log, ctx).Debug("store write", "key", key, "bytes", len(payload))
 	return nil
 }
 
@@ -419,7 +415,7 @@ func (s *Store) writeEntry(key string, payload []byte) (int64, error) {
 func (s *Store) discardTemp(tmp string) {
 	if err := s.fs.Remove(tmp); err != nil && !os.IsNotExist(err) {
 		s.log.Warn("store temp file could not be removed after failed write",
-			obslog.F("path", tmp), obslog.F("err", err))
+			"path", tmp, "err", err)
 	}
 }
 
@@ -556,10 +552,10 @@ func (s *Store) quarantine(path string) {
 		inc(s.quarantineFailed)
 		if rerr := s.fs.Remove(path); rerr != nil && !os.IsNotExist(rerr) {
 			s.log.Error("quarantine rename and removal both failed; corrupt file remains (unservable)",
-				obslog.F("path", path), obslog.F("rename_err", err), obslog.F("remove_err", rerr))
+				"path", path, "rename_err", err, "remove_err", rerr)
 		} else {
 			s.log.Warn("quarantine rename failed; corrupt file removed instead (forensics lost)",
-				obslog.F("path", path), obslog.F("err", err))
+				"path", path, "err", err)
 		}
 	}
 	s.dropFromIndex(path)

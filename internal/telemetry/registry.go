@@ -11,7 +11,7 @@ import (
 // metrics (Counter/Gauge/Histogram, get-or-create by name) or register a
 // pull-sampler over an existing component-local counter (RegisterFunc) —
 // the sampler path keeps the simulator's hot loops free of any extra write
-// while still exposing every legacy Stats() quantity under one namespace
+// while still exposing every component counter under one namespace
 // (cache.l1.hits, prefetcher.ipstride.trains, sched.switches, ...).
 type Registry struct {
 	mu       sync.RWMutex

@@ -245,12 +245,6 @@ func (t *TLB) FlushAll() {
 	t.predOK = false
 }
 
-// Stats reports cumulative dTLB hits, full misses and STLB hits.
-//
-// Deprecated: read tlb.hits / tlb.misses from the machine's telemetry
-// registry (via RegisterMetrics); both views sample the same counters.
-func (t *TLB) Stats() (hits, misses uint64) { return t.hits, t.misses }
-
 // STLBHits reports how many first-level misses the STLB covered.
 func (t *TLB) STLBHits() uint64 { return t.stlbHits }
 
@@ -258,8 +252,8 @@ func (t *TLB) STLBHits() uint64 { return t.stlbHits }
 func (t *TLB) ResetStats() { t.hits, t.misses, t.stlbHits = 0, 0, 0 }
 
 // RegisterMetrics exposes the TLB counters in reg: tlb.hits, tlb.misses,
-// tlb.stlb_hits. Samplers read the live counters, so snapshots always match
-// Stats()/STLBHits() exactly.
+// tlb.stlb_hits. Samplers read the live counters, so the registry is the
+// one read path for them and the hot path pays nothing.
 func (t *TLB) RegisterMetrics(reg *telemetry.Registry) {
 	reg.RegisterFunc("tlb.hits", func() uint64 { return t.hits })
 	reg.RegisterFunc("tlb.misses", func() uint64 { return t.misses })

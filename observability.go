@@ -60,8 +60,9 @@ func (l *Lab) WriteTrace(w io.Writer) error {
 // MetricsSnapshot captures the machine-wide metrics registry: every cache
 // level, the dTLB, all four prefetchers, the scheduler and any installed
 // fault engine, under namespaced keys (cache.l1.hits, prefetcher.ipstride.
-// trains, sched.switches, faults.injected, ...). Values are sampled live and
-// agree exactly with the legacy per-component Stats() accessors.
+// trains, sched.switches, faults.injected, ...). Values are sampled live
+// from the components' own counters; the registry is the one place to read
+// them.
 func (l *Lab) MetricsSnapshot() MetricsSnapshot {
 	return l.m.Telemetry().Registry().Snapshot()
 }

@@ -112,9 +112,6 @@ func (o SweepOptions) Validate() error {
 			return optErr("SweepOptions", fmt.Sprintf("Intensities[%d]", i), x, ">= 0")
 		}
 	}
-	if o.Execution != SweepForked && o.Execution != SweepFresh {
-		return optErr("SweepOptions", "Execution", int(o.Execution), "SweepForked or SweepFresh")
-	}
 	return nil
 }
 

@@ -167,7 +167,6 @@ func TestReplayForkedWarmupCampaign(t *testing.T) {
 		Bits:        10,
 		Intensities: []float64{0, 1},
 		Warmup:      30_000,
-		Execution:   SweepForked,
 		Faults:      faults.Config{EventsPerMCycle: 200},
 		Runner:      runner.Options{CheckpointPath: path},
 	}

@@ -55,22 +55,6 @@ func (a SweepAttack) seedOffset() int64 {
 	}
 }
 
-// SweepExecMode selects how a sweep provisions its per-point labs.
-type SweepExecMode int
-
-const (
-	// SweepForked (the default) warms one template lab per campaign and
-	// forks every point attempt from it — the shared prefix (machine
-	// construction, address-space layout, policy seeding) is paid once
-	// instead of per point.
-	SweepForked SweepExecMode = iota
-	// SweepFresh boots every point attempt from scratch, the pre-fork
-	// behaviour. Both modes are bit-identical point for point — gated by
-	// the fork-vs-fresh differential suite — so this exists for the
-	// differential tests and benchmarks, and as an escape hatch.
-	SweepFresh
-)
-
 // SweepOptions configures RunFaultSweep.
 type SweepOptions struct {
 	// Attack is the experiment driven at each intensity.
@@ -95,20 +79,13 @@ type SweepOptions struct {
 	// straight-through run of the same seed. Fingerprint is derived from the
 	// campaign options and must not be set by the caller.
 	Runner runner.Options
-	// Execution picks forked (default) or fresh per-point labs. The two are
-	// bit-identical, so the mode is deliberately EXCLUDED from the campaign
-	// fingerprint: checkpoints recorded under either mode resume under the
-	// other.
-	Execution SweepExecMode
 	// Warmup preconditions every point's machine with this many strided
 	// loads — a deterministic trace replayed through the batched load API
 	// that fills caches and TLB and trains the IP-stride prefetcher before
-	// the attack and the fault engine start. Under SweepForked the template
-	// runs the trace ONCE and each point forks the warmed state; under
-	// SweepFresh every point replays it from scratch. The two are
-	// bit-identical point for point (the fault engine only arms after the
-	// warmup, so the prefix is genuinely shared), but the forked mode pays
-	// the trace once per campaign instead of once per point. Default 0.
+	// the attack and the fault engine start. The campaign template runs the
+	// trace ONCE and each point forks the warmed state, so the trace is paid
+	// once per campaign instead of once per point; the fault engine only
+	// arms after the warmup, so the prefix is genuinely shared. Default 0.
 	Warmup int
 }
 
@@ -172,11 +149,11 @@ func (r SweepResult) JSON() ([]byte, error) {
 }
 
 // RunFaultSweep measures how one attack degrades under increasing fault-
-// injection intensity: for each requested intensity it boots a fresh lab
-// (derived from this lab's options, with the FullReport-aligned seed
-// offset), installs a deterministic fault engine, runs the attack through
-// its error-hardened variant, and records accuracy, confidence and applied
-// perturbations. The whole curve is a pure function of the options and the
+// injection intensity: for each requested intensity it forks a lab from one
+// warmed campaign template (built from this lab's options, with the
+// FullReport-aligned seed offset), installs a deterministic fault engine,
+// runs the attack through its error-hardened variant, and records accuracy,
+// confidence and applied perturbations. The whole curve is a pure function of the options and the
 // lab seed — rerunning with the same seed reproduces it point for point,
 // regardless of worker count or checkpoint resume.
 func (l *Lab) RunFaultSweep(o SweepOptions) SweepResult {
@@ -192,17 +169,26 @@ func (l *Lab) RunFaultSweep(o SweepOptions) SweepResult {
 // sweep resumes where it stopped. A canceled context returns the completed
 // prefix of the curve together with the cancellation error.
 func (l *Lab) RunFaultSweepCtx(ctx context.Context, o SweepOptions) (SweepResult, error) {
+	return l.runFaultSweep(ctx, o, false)
+}
+
+// runFaultSweep is RunFaultSweepCtx with fresh set to boot every point
+// attempt from scratch instead of forking the warmed template. The two are
+// bit-identical point for point and share one fingerprint; the fresh boot is
+// the reference the fork-vs-fresh differential tests and BenchmarkSweepFresh
+// compare the forked campaign against.
+func (l *Lab) runFaultSweep(ctx context.Context, o SweepOptions, fresh bool) (SweepResult, error) {
 	if err := o.Validate(); err != nil {
 		return SweepResult{Attack: o.Attack.String(), Model: l.ModelName()}, err
 	}
 	o, labOpts := l.sweepNormalize(o)
 
-	// Forked execution warms the campaign's shared prefix once: one pristine
-	// template lab per configuration, forked for every point attempt. The
-	// template is never run, so concurrent forks from parallel workers are
-	// concurrent reads.
+	// The campaign's shared prefix is warmed once: one pristine template lab
+	// per configuration, forked for every point attempt. The template is
+	// never run, so concurrent forks from parallel workers are concurrent
+	// reads.
 	var tmpl *Lab
-	if o.Execution == SweepForked {
+	if !fresh {
 		tmpl = NewLab(labOpts)
 		tmpl.runSweepWarmup(o.Warmup)
 	}
@@ -376,8 +362,8 @@ func hasCorruptionHistory(history []string) bool {
 
 // runSweepPoint executes one sweep point in its own lab — a fork of the
 // campaign template when one is provided, else a fresh boot (the two are
-// bit-identical; replay re-executes points fresh and diffs hashes against
-// campaigns recorded either way). It installs the salted fault engine,
+// bit-identical; replay re-executes points fresh and diffs their hashes
+// against the ones the forked campaign recorded). It installs the salted fault engine,
 // runs the attack through its error-hardened variant, then audits the
 // final machine state and digests it. A failing final audit turns an
 // otherwise-successful attempt into a corruption fault, so silently
