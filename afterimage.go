@@ -140,13 +140,33 @@ func (l *Lab) Fork() (*Lab, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Lab{opts: l.opts, m: fm, traceOn: l.traceOn, traceCap: l.traceCap}
-	f.rngSrc = l.rngSrc.Clone()
-	f.rng = rand.New(f.rngSrc)
-	if l.traceOn {
-		fm.Telemetry().EnableTrace(l.traceCap)
-	}
+	f := &Lab{m: fm}
+	f.adopt(l)
 	return f, nil
+}
+
+// resetFrom overwrites the lab with a copy of t in place: the machine
+// resets from t's (see sim.Machine.ResetFrom), and the result is
+// state-identical to t.Fork(). Sweeps recycle point labs this way.
+func (l *Lab) resetFrom(t *Lab) error {
+	if err := l.m.ResetFrom(t.m); err != nil {
+		return err
+	}
+	l.adopt(t)
+	return nil
+}
+
+// adopt copies t's lab-level state onto l, whose machine already holds a
+// copy of t's: the options, the RNG at its exact stream position, and the
+// trace setting, which re-enables tracing on l's own hub.
+func (l *Lab) adopt(t *Lab) {
+	l.opts = t.opts
+	l.rngSrc = t.rngSrc.Clone()
+	l.rng = rand.New(l.rngSrc)
+	l.traceOn, l.traceCap = t.traceOn, t.traceCap
+	if t.traceOn {
+		l.m.Telemetry().EnableTrace(t.traceCap)
+	}
 }
 
 // MustFork is Fork that panics on failure (a mid-run fork is a programming

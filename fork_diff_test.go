@@ -19,11 +19,16 @@ package afterimage
 //     continued past the fork, must digest identically too (isolation).
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
+	"afterimage/internal/faults"
 	"afterimage/internal/mem"
+	"afterimage/internal/runner"
 )
 
 // findMapping locates the fork's clone of a parent mapping by base address
@@ -203,5 +208,64 @@ func TestLabForkPristine(t *testing.T) {
 	gb := fresh.randomBits(64)
 	if boolsEqual(fb, gb) != 64 {
 		t.Fatal("forked lab RNG diverged from fresh lab RNG")
+	}
+}
+
+// TestSweepForkedMatchesFreshBytesUnderCorruption: with state-corruption
+// faults firing, the forked campaign — pooled point labs reset from the
+// template, final audits over the dirty cache sets — must produce the same
+// result bytes as the campaign that boots every point fresh, error messages
+// included. It covers all four attacks, the corruption kinds alone and
+// every kind, on one worker and on two. Audit messages print ASIDs
+// normalized, so they do not depend on how many address spaces the process
+// created before.
+func TestSweepForkedMatchesFreshBytesUnderCorruption(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run sweep comparison is slow")
+	}
+	kindSets := map[string][]faults.Kind{
+		"corruption": faults.CorruptionKinds(),
+		"all":        append(faults.AllKinds(), faults.CorruptionKinds()...),
+	}
+	var quarantined, asidErrs int
+	for _, attack := range []SweepAttack{SweepV1Thread, SweepV1Process, SweepV2Kernel, SweepCovert} {
+		for name, kinds := range kindSets {
+			for _, workers := range []int{1, 2} {
+				o := SweepOptions{
+					Attack:      attack,
+					Bits:        8,
+					Intensities: []float64{0, 1, 2, 0.5},
+					Faults:      faults.Config{EventsPerMCycle: 300, Kinds: kinds},
+					Runner:      runner.Options{Workers: workers, Sleep: func(time.Duration) {}},
+				}
+				run := func(fresh bool) []byte {
+					res, err := NewLab(Options{Seed: 42}).runFaultSweep(context.Background(), o, fresh)
+					if err != nil {
+						t.Fatalf("%s/%s/workers=%d fresh=%v: %v", attack, name, workers, fresh, err)
+					}
+					for _, pt := range res.Points {
+						if pt.Quarantined {
+							quarantined++
+						}
+						if strings.Contains(pt.Err, "asid") {
+							asidErrs++
+						}
+					}
+					raw, err := res.JSON()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return raw
+				}
+				if forked, fresh := run(false), run(true); !bytes.Equal(forked, fresh) {
+					t.Errorf("%s/%s/workers=%d: forked and fresh campaigns differ:\nforked: %s\nfresh:  %s",
+						attack, name, workers, forked, fresh)
+				}
+			}
+		}
+	}
+	// The comparison must have covered corrupted points and ASID text.
+	if quarantined == 0 || asidErrs == 0 {
+		t.Fatalf("no coverage: %d quarantined points, %d errors naming an ASID", quarantined, asidErrs)
 	}
 }

@@ -128,9 +128,6 @@ func boolBit(b bool) uint64 {
 // Stats reports lookups and mispredictions.
 func (b *BPU) Stats() (lookups, mispredicts uint64) { return b.lookups, b.mispredicts }
 
-// MatchBits reports how many IP bits a cross-context injection must match.
-func (b *BPU) MatchBits() int { return b.cfg.MatchBits }
-
 // MistrainCost estimates the §9.2 comparison: the cycles an attacker needs
 // to inject a BTB entry that a victim branch at victimIP (whose low 12 bits
 // are known — ASLR is page-granular — but whose bits 12..MatchBits-1 are

@@ -75,11 +75,26 @@ func setAllOnes(c *Cache, si, i int) {
 	c.pol.ones[g] = int32(c.ways)
 }
 
+// markChanged marks dirty every set of c whose lines, valid bits or
+// replacement state differ from parent's — plants edit the arrays
+// directly, past the writers that mark — and every third set besides.
+func markChanged(c, parent *Cache) {
+	for g := 0; g < c.nslices*int(c.nsets); g++ {
+		lo, hi := g*c.ways, (g+1)*c.ways
+		if g%3 == 0 || !slices.Equal(c.lines[lo:hi], parent.lines[lo:hi]) ||
+			!slices.Equal(c.valid[lo:hi], parent.valid[lo:hi]) ||
+			!slices.Equal(c.pol.SaveInto(nil, g), parent.pol.SaveInto(nil, g)) {
+			c.markDirty(g)
+		}
+	}
+}
+
 // TestAuditMessages pins the exact text and order of every audit finding:
 // each violation class is planted into a fork of a clean L1-, L2- or
 // sliced-LLC-shaped cache, alone, several to a set and across sets. A clean set must produce nothing, including the cases a faster
 // check could get wrong: a duplicate held only in an invalid way, and line
-// words at or above 2^58, whose byte address wraps.
+// words at or above 2^58, whose byte address wraps. The dirty-set audit
+// must print the same findings.
 func TestAuditMessages(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -332,6 +347,16 @@ func TestAuditMessages(t *testing.T) {
 			}
 			if !slices.Equal(got, tc.want) {
 				t.Errorf("audit findings:\n got %q\nwant %q", got, tc.want)
+			}
+			// The dirty-set audit, over every planted set plus clean ones,
+			// prints the same findings in the same order.
+			markChanged(c, parent)
+			got = got[:0]
+			for _, err := range c.audit(true) {
+				got = append(got, err.Error())
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("dirty-set audit findings:\n got %q\nwant %q", got, tc.want)
 			}
 			if errs := parent.Audit(); len(errs) != 0 {
 				t.Errorf("planting into the fork dirtied the parent: %v", errs)

@@ -81,6 +81,12 @@ type Cache struct {
 	vcnt       []int32  // [gset] popcount of valid (derived, not hashed)
 	pol        *PolicyArray
 
+	// dirty holds one bit per global set, set by every write to the set's
+	// ways or replacement state since the level was last forked or reset
+	// from origin; those sets are the only ones that can differ from it.
+	dirty  []uint64
+	origin *Cache
+
 	// One-entry direct-mapped way predictor: the flat index where predLine
 	// was last seen. It caches only a LOCATION — every use re-verifies the
 	// tag and then performs the identical state mutations the full lookup
@@ -123,6 +129,7 @@ func New(cfg Config) (*Cache, error) {
 	c.valid = make([]bool, gsets*cfg.Ways)
 	c.prefetched = make([]bool, gsets*cfg.Ways)
 	c.vcnt = make([]int32, gsets)
+	c.dirty = make([]uint64, (gsets+63)/64)
 	// Per-set seeds reproduce the seed code's newSet(…, PolicySeed+s*1000+i).
 	c.pol = NewPolicyArray(cfg.Policy, gsets, cfg.Ways, func(g int) int64 {
 		s, i := g/int(nsets), g%int(nsets)
@@ -208,6 +215,9 @@ func (c *Cache) gsetOfLine(line uint64) int {
 	return SliceHash(p, c.nslices)*int(c.nsets) + int(set)
 }
 
+// markDirty records a write to global set g.
+func (c *Cache) markDirty(g int) { c.dirty[g>>6] |= 1 << (uint(g) & 63) }
+
 // lookupLine scans the line's set, returning the flat way index. The
 // subslices let the compiler drop per-way bounds checks.
 func (c *Cache) lookupLine(line uint64) (g, idx int, ok bool) {
@@ -245,7 +255,9 @@ func (c *Cache) Access(p mem.PAddr) bool {
 	line := c.lineOf(p)
 	// Way-predictor fast path: a line address maps to exactly one set, so a
 	// verified tag match at the predicted index IS the set's hit way and the
-	// scan below would find the same one.
+	// scan below would find the same one. It marks nothing: every path that
+	// arms the predictor marks the set first, and every fork or reset drops
+	// the predictor, so its set is already dirty.
 	if c.predOK && c.predLine == line {
 		i := c.predIdx
 		if c.valid[i] && c.lines[i] == line {
@@ -261,6 +273,7 @@ func (c *Cache) Access(p mem.PAddr) bool {
 	}
 	g, i, ok := c.lookupLine(line)
 	if ok {
+		c.markDirty(g)
 		c.pol.Touch(g, i-g*c.ways)
 		c.hits++
 		if c.prefetched[i] {
@@ -280,6 +293,7 @@ func (c *Cache) Access(p mem.PAddr) bool {
 // create a duplicate way, or a later flush would only remove one copy.
 func (c *Cache) insert(line uint64, asPrefetch bool) (evicted uint64, wasValid bool) {
 	g := c.gsetOfLine(line)
+	c.markDirty(g)
 	base := g * c.ways
 	lines := c.lines[base : base+c.ways]
 	if int(c.vcnt[g]) == c.ways {
@@ -345,6 +359,7 @@ func (c *Cache) insert(line uint64, asPrefetch bool) (evicted uint64, wasValid b
 // mutations are exactly those insert would perform for an absent line.
 func (c *Cache) fillMissed(line uint64, asPrefetch bool) (evicted uint64, wasValid bool) {
 	g := c.gsetOfLine(line)
+	c.markDirty(g)
 	base := g * c.ways
 	if int(c.vcnt[g]) < c.ways {
 		valid := c.valid[base : base+c.ways]
@@ -393,6 +408,7 @@ func (c *Cache) PrefetchStats() (fills, useful uint64) {
 // Remove invalidates the line of p if present (clflush / back-invalidate).
 func (c *Cache) Remove(p mem.PAddr) bool {
 	if g, i, ok := c.lookupLine(c.lineOf(p)); ok {
+		c.markDirty(g)
 		c.valid[i] = false
 		c.vcnt[g]--
 		if c.predOK && c.predIdx == i {
@@ -408,14 +424,6 @@ func (c *Cache) Remove(p mem.PAddr) bool {
 func (c *Cache) RemoveLine(line uint64) bool {
 	p := mem.PAddr(line * c.cfg.LineSize)
 	return c.Remove(p)
-}
-
-// ResetStats clears every cumulative counter: hits, misses, prefetch fills
-// and useful-prefetch credits. (It previously left the prefetch counters
-// running, which skewed any accuracy ratio computed after a reset.)
-func (c *Cache) ResetStats() {
-	c.hits, c.misses = 0, 0
-	c.prefetchFills, c.usefulPrefetch = 0, 0
 }
 
 // RegisterMetrics exposes the cache's counters in reg under prefix

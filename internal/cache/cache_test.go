@@ -309,26 +309,6 @@ func TestPolicyWidthBoundary(t *testing.T) {
 	}
 }
 
-func TestLatenciesOf(t *testing.T) {
-	l := Latencies{L1: 1, L2: 2, LLC: 3, DRAM: 4}
-	cases := []struct {
-		level Level
-		want  uint64
-	}{
-		{LevelL1, 1},
-		{LevelL2, 2},
-		{LevelLLC, 3},
-		{LevelDRAM, 4},
-	}
-	for _, tc := range cases {
-		t.Run(tc.level.String(), func(t *testing.T) {
-			if got := l.Of(tc.level); got != tc.want {
-				t.Fatalf("Of(%v) = %d, want %d", tc.level, got, tc.want)
-			}
-		})
-	}
-}
-
 func TestLevelString(t *testing.T) {
 	for _, lvl := range []Level{LevelL1, LevelL2, LevelLLC, LevelDRAM} {
 		if lvl.String() == "" {
@@ -384,51 +364,5 @@ func TestPrefetchUsefulnessAccounting(t *testing.T) {
 	c.Access(0x3000)
 	if fills, useful := c.PrefetchStats(); fills != 2 || useful != 1 {
 		t.Fatalf("demand fill contaminated stats: %d/%d", fills, useful)
-	}
-}
-
-// TestResetStatsClearsAllCounters pins the fix for the reset asymmetry:
-// ResetStats used to clear hits/misses but leave the prefetch-fill and
-// useful-prefetch counters running, so any accuracy ratio computed after a
-// reset mixed epochs.
-func TestResetStatsClearsAllCounters(t *testing.T) {
-	c := MustNew(small(LRU))
-	c.Fill(0x1000)
-	c.Access(0x1000) // hit
-	c.Access(0x8000) // miss
-	c.FillPrefetch(0x2000)
-	c.Access(0x2000) // useful prefetch (and a hit)
-
-	if c.hits == 0 || c.misses == 0 {
-		t.Fatalf("setup: hits=%d misses=%d", c.hits, c.misses)
-	}
-	if f, u := c.PrefetchStats(); f != 1 || u != 1 {
-		t.Fatalf("setup: fills=%d useful=%d", f, u)
-	}
-
-	c.ResetStats()
-	if c.hits != 0 || c.misses != 0 {
-		t.Fatalf("after reset: hits=%d misses=%d", c.hits, c.misses)
-	}
-	if f, u := c.PrefetchStats(); f != 0 || u != 0 {
-		t.Fatalf("after reset prefetch counters survived: fills=%d useful=%d", f, u)
-	}
-}
-
-func TestHierarchyResetStats(t *testing.T) {
-	h, _ := NewHierarchy(HierarchyConfig{
-		L1: small(LRU), L2: small(LRU), LLC: small(LRU),
-		Lat: Latencies{L1: 4, L2: 12, LLC: 40, DRAM: 200},
-	})
-	h.Load(0x1000)
-	h.Prefetch(0x2000)
-	h.ResetStats()
-	for _, c := range []*Cache{h.L1, h.L2, h.LLC} {
-		if c.hits != 0 || c.misses != 0 {
-			t.Fatalf("%s: hits=%d misses=%d after reset", c.Config().Name, c.hits, c.misses)
-		}
-		if f, u := c.PrefetchStats(); f != 0 || u != 0 {
-			t.Fatalf("%s: fills=%d useful=%d after reset", c.Config().Name, f, u)
-		}
 	}
 }

@@ -1,18 +1,24 @@
 package cache
 
-import "afterimage/internal/detrand"
+import (
+	"math/bits"
 
-// Fork support: deep-copy a cache level (and the whole hierarchy) so a
-// forked machine can diverge from a warmed parent without sharing mutable
-// state. Fork is the only way cache state is copied, and the flat-slice
-// layout makes it a handful of bulk slice copies — no per-set objects to
-// walk. Profiling note: forking a warmed Coffee Lake machine copies about
-// 3.8 MB, almost all of it the LLC's line, valid, prefetched and stamp
-// arrays, in about 0.6 ms (BenchmarkMachineFork). That is far below the
-// cost of re-warming and keeps copy-on-write bookkeeping off the
-// per-access hot path, but a sweep point now pays about as much for the
-// fork as for the state hash, and unlike the hash's single fold, the copy
-// is not a floor.
+	"afterimage/internal/detrand"
+)
+
+// Fork and reset: copy a cache level (and the whole hierarchy) so a point
+// machine can diverge from a warmed template without sharing mutable state.
+// One routine, copyFrom, does both. Fork allocates a level and copies every
+// array into it: about 3.8 MB for a warmed Coffee Lake machine, almost all
+// of it the LLC's line, valid, prefetched and stamp arrays. ResetFrom
+// copies back in place, and when the level was last forked or reset from
+// the same source it copies only the sets the level dirtied since. The
+// bookkeeping is one bit per set, which the four writers of a set — the
+// scan-hit branch of Access, insert, fillMissed and Remove — set with a
+// single OR. An 8-bit attack point dirties about 3% (V1 cross-thread) to
+// 16% (covert channel) of the LLC's 12,288 sets, so a reset copies that
+// share of the LLC a fork copies, and the point's final audit (AuditFrom)
+// checks the same sets.
 
 // Clone returns an independent deep copy of the engine. The Tree-PLRU
 // touch masks are fixed at construction and shared; everything mutable is
@@ -46,22 +52,80 @@ func (pa *PolicyArray) Clone() *PolicyArray {
 	return c
 }
 
-// Fork returns an independent deep copy of the cache. Tag/valid/prefetched
-// arrays, replacement state and counters are copied; the way predictor is
-// dropped (predOK=false) — it caches only a location, so clearing it never
-// changes observable state.
+// copySet copies set g's replacement state from src, an engine of the same
+// kind and width. A Random set's source is cloned at its stream position.
+func (pa *PolicyArray) copySet(src *PolicyArray, g int) {
+	lo, hi := g*pa.ways, (g+1)*pa.ways
+	switch pa.kind {
+	case LRU, FIFO:
+		pa.clocks[g] = src.clocks[g]
+		copy(pa.stamps[lo:hi], src.stamps[lo:hi])
+	case BitPLRU:
+		pa.ones[g] = src.ones[g]
+		copy(pa.mru[lo:hi], src.mru[lo:hi])
+	case TreePLRU:
+		pa.twords[g] = src.twords[g]
+	case RandomPolicy:
+		pa.srcs[g] = src.srcs[g].Clone()
+	}
+}
+
+// copyFrom makes c a copy of src: contents, replacement state and counters.
+// When c was last forked or reset from src, only the sets c dirtied since
+// can differ, so only those are copied; otherwise every array is copied
+// whole, into c's own storage when it is large enough. Either way the dirty
+// bitmap is cleared, src becomes c's origin and the way predictor is
+// dropped — it caches only a location, so clearing it never changes
+// observable state.
+func (c *Cache) copyFrom(src *Cache) {
+	if c.origin == src {
+		for i, word := range c.dirty {
+			for ; word != 0; word &= word - 1 {
+				g := i<<6 + bits.TrailingZeros64(word)
+				lo, hi := g*c.ways, (g+1)*c.ways
+				copy(c.lines[lo:hi], src.lines[lo:hi])
+				copy(c.valid[lo:hi], src.valid[lo:hi])
+				copy(c.prefetched[lo:hi], src.prefetched[lo:hi])
+				c.vcnt[g] = src.vcnt[g]
+				c.pol.copySet(src.pol, g)
+			}
+		}
+	} else {
+		lines, valid, prefetched, vcnt, dirty := c.lines, c.valid, c.prefetched, c.vcnt, c.dirty
+		*c = *src // geometry and counters
+		c.lines = append(lines[:0], src.lines...)
+		c.valid = append(valid[:0], src.valid...)
+		c.prefetched = append(prefetched[:0], src.prefetched...)
+		c.vcnt = append(vcnt[:0], src.vcnt...)
+		c.dirty = append(dirty[:0], src.dirty...)
+		c.pol = src.pol.Clone()
+	}
+	clear(c.dirty)
+	c.origin = src
+	c.hits, c.misses = src.hits, src.misses
+	c.prefetchFills, c.usefulPrefetch = src.prefetchFills, src.usefulPrefetch
+	c.predLine, c.predIdx, c.predG, c.predOK = 0, 0, 0, false
+}
+
+// Fork returns an independent deep copy of the cache.
 func (c *Cache) Fork() *Cache {
-	f := *c
-	f.lines = append([]uint64(nil), c.lines...)
-	f.valid = append([]bool(nil), c.valid...)
-	f.prefetched = append([]bool(nil), c.prefetched...)
-	f.vcnt = append([]int32(nil), c.vcnt...)
-	f.pol = c.pol.Clone()
-	f.predLine, f.predIdx, f.predG, f.predOK = 0, 0, 0, false
-	return &f
+	f := &Cache{}
+	f.copyFrom(c)
+	return f
 }
 
 // Fork returns an independent deep copy of the whole hierarchy.
 func (h *Hierarchy) Fork() *Hierarchy {
 	return &Hierarchy{L1: h.L1.Fork(), L2: h.L2.Fork(), LLC: h.LLC.Fork(), Lat: h.Lat}
+}
+
+// ResetFrom returns the hierarchy to src's state in place. A level last
+// forked or reset from src's level copies back only the sets it dirtied
+// since, which is exact only while src has not changed in between; the
+// caller guarantees that (sim.Machine.ResetFrom checks src's clock).
+func (h *Hierarchy) ResetFrom(src *Hierarchy) {
+	h.L1.copyFrom(src.L1)
+	h.L2.copyFrom(src.L2)
+	h.LLC.copyFrom(src.LLC)
+	h.Lat = src.Lat
 }

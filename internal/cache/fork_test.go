@@ -163,3 +163,86 @@ func TestCacheForkAllPolicies(t *testing.T) {
 		})
 	}
 }
+
+// TestCacheResetFromAllPolicies: under every replacement policy, a fork
+// that diverges and is then reset from its origin copies back only the
+// sets it dirtied, in place, and is again indistinguishable from a fresh
+// fork: same hash at rest, same hits and hashes under an identical stream,
+// clean audits. Resetting from a cache that is not the origin copies whole.
+func TestCacheResetFromAllPolicies(t *testing.T) {
+	touch := func(c *Cache, p mem.PAddr) bool {
+		if c.Access(p) {
+			return true
+		}
+		c.FillPrefetch(p)
+		return false
+	}
+	for _, pol := range []PolicyKind{LRU, FIFO, BitPLRU, TreePLRU, RandomPolicy} {
+		t.Run(pol.String(), func(t *testing.T) {
+			c := MustNew(small(pol))
+			for i := uint64(0); i < 40; i++ {
+				touch(c, mem.PAddr(i*0x240))
+			}
+			f := c.Fork()
+			for i := uint64(0); i < 200; i++ {
+				touch(f, mem.PAddr(i*5%61*0x40))
+				if i%7 == 0 {
+					f.Remove(mem.PAddr(i * 0x240))
+				}
+			}
+			lines := &f.lines[0]
+			f.copyFrom(c)
+			if &f.lines[0] != lines {
+				t.Fatal("reset from the origin did not copy in place")
+			}
+			ref := c.Fork()
+			if f.StateHash() != ref.StateHash() {
+				t.Fatal("reset cache hash differs from a fresh fork")
+			}
+			for i := uint64(0); i < 400; i++ {
+				p := mem.PAddr(i * 7 % 97 * 0x40)
+				if a, b := touch(f, p), touch(ref, p); a != b {
+					t.Fatalf("access %d: reset hit=%v, fork hit=%v", i, a, b)
+				}
+			}
+			if f.StateHash() != ref.StateHash() || len(f.Audit()) != 0 {
+				t.Fatal("reset cache diverged from a fresh fork under an identical stream")
+			}
+
+			// ref is not f's origin: the reset copies every array.
+			f.copyFrom(ref)
+			if f.StateHash() != ref.StateHash() || f.origin != ref {
+				t.Fatal("whole-copy reset differs from its source")
+			}
+		})
+	}
+}
+
+// TestHierarchyAuditFromOnlyChecksDirtySets pins AuditFrom's contract: a
+// level whose origin is src's is checked over its dirty sets only, so
+// corruption planted past the writers into a clean set goes unseen there
+// and is still caught by Audit and by AuditFrom against another source.
+func TestHierarchyAuditFromOnlyChecksDirtySets(t *testing.T) {
+	h := forkTestHierarchy(t)
+	for i := 0; i < 4096; i++ {
+		h.Load(mem.PAddr(i%1500) * mem.LineSize)
+	}
+	f := h.Fork()
+	f.Load(mem.PAddr(9000) * mem.LineSize)
+	g := f.LLC.gsetOfLine(9000)
+	clean := (g + 1) % (f.LLC.nslices * int(f.LLC.nsets))
+	if f.LLC.dirty[clean>>6]&(1<<(uint(clean)&63)) != 0 {
+		t.Fatal("test premise: neighbour set dirty")
+	}
+	f.LLC.pol.stamps[clean*f.LLC.ways] = f.LLC.pol.clocks[clean] + 1
+	if errs := f.AuditFrom(h); len(errs) != 0 {
+		t.Fatalf("AuditFrom checked a clean set: %v", errs)
+	}
+	if len(f.Audit()) != 1 || len(f.AuditFrom(f.Fork())) != 1 {
+		t.Fatal("the planted stamp escaped the whole audit")
+	}
+	f.LLC.markDirty(clean)
+	if errs := f.AuditFrom(h); len(errs) != 1 {
+		t.Fatalf("AuditFrom over the dirtied set: %v", errs)
+	}
+}

@@ -39,20 +39,6 @@ type Latencies struct {
 	L1, L2, LLC, DRAM uint64
 }
 
-// Of returns the latency for a level.
-func (l Latencies) Of(level Level) uint64 {
-	switch level {
-	case LevelL1:
-		return l.L1
-	case LevelL2:
-		return l.L2
-	case LevelLLC:
-		return l.LLC
-	default:
-		return l.DRAM
-	}
-}
-
 // HierarchyConfig describes the full three-level hierarchy.
 type HierarchyConfig struct {
 	L1, L2, LLC Config
@@ -169,13 +155,6 @@ func (h *Hierarchy) RegisterMetrics(reg *telemetry.Registry) {
 	h.LLC.RegisterMetrics(reg, "cache.llc")
 }
 
-// ResetStats clears the counters of every level.
-func (h *Hierarchy) ResetStats() {
-	h.L1.ResetStats()
-	h.L2.ResetStats()
-	h.LLC.ResetStats()
-}
-
 // Flush removes the line of p from every level (clflush).
 func (h *Hierarchy) Flush(p mem.PAddr) {
 	h.L1.Remove(p)
@@ -189,10 +168,24 @@ func (h *Hierarchy) Contains(p mem.PAddr) bool { return h.Probe(p) != LevelDRAM 
 // Audit deep-checks every level plus the cross-level inclusivity invariant:
 // each valid L1 or L2 line must also be resident in the LLC. It returns
 // every broken rule.
-func (h *Hierarchy) Audit() []error {
-	errs := h.L1.Audit()
-	errs = append(errs, h.L2.Audit()...)
-	errs = append(errs, h.LLC.Audit()...)
+func (h *Hierarchy) Audit() []error { return h.AuditFrom(nil) }
+
+// AuditFrom is Audit for a hierarchy last forked or reset from src, where
+// src audited clean and has not changed since: the sets a level did not
+// dirty still equal src's, so each level whose origin is src's is checked
+// over its dirty sets only, and reports exactly what Audit would. A level
+// with another origin is checked whole. The inclusivity check always stays
+// whole: an LLC eviction in a dirty set can strand a line that a clean L1
+// set holds.
+func (h *Hierarchy) AuditFrom(src *Hierarchy) []error {
+	var from [3]*Cache
+	if src != nil {
+		from = [3]*Cache{src.L1, src.L2, src.LLC}
+	}
+	var errs []error
+	for i, c := range [3]*Cache{h.L1, h.L2, h.LLC} {
+		errs = append(errs, c.audit(from[i] != nil && c.origin == from[i])...)
+	}
 	for _, inner := range []*Cache{h.L1, h.L2} {
 		c := inner
 		c.VisitLines(func(line uint64) bool {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"afterimage/internal/mem"
 	"afterimage/internal/statehash"
@@ -40,15 +41,26 @@ func (c *Cache) StateHash() uint64 {
 // Each set first gets setSound, an exact check that builds no messages;
 // only a set that fails it is walked again by auditSet, which reports each
 // broken rule. A clean audit is therefore one pass over the level.
-func (c *Cache) Audit() []error {
+func (c *Cache) Audit() []error { return c.audit(false) }
+
+// audit is Audit over every set or, with dirtyOnly, over the sets dirtied
+// since the last fork or reset. Either way it visits sets in ascending
+// global order, so each set it checks yields the messages, in the order,
+// that the full audit prints for it.
+func (c *Cache) audit(dirtyOnly bool) []error {
 	var errs []error
-	g := 0
-	for si := 0; si < c.nslices; si++ {
-		for i := 0; i < int(c.nsets); i++ {
-			if !c.setSound(si, i, g) {
-				errs = c.auditSet(errs, si, i, g)
+	nsets := int(c.nsets)
+	for g := 0; g < len(c.vcnt); g++ {
+		if dirtyOnly {
+			rest := c.dirty[g>>6] >> (uint(g) & 63)
+			if rest == 0 {
+				g |= 63 // the rest of this bitmap word is clean
+				continue
 			}
-			g++
+			g += bits.TrailingZeros64(rest)
+		}
+		if si, i := g/nsets, g%nsets; !c.setSound(si, i, g) {
+			errs = c.auditSet(errs, si, i, g)
 		}
 	}
 	return errs

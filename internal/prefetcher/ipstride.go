@@ -153,9 +153,6 @@ func (p *IPStride) Config() IPStrideConfig { return p.cfg }
 // accounting in hot simulation loops reads this twice per record.
 func (p *IPStride) PrefetchCount() uint64 { return p.stats.Prefetches }
 
-// ResetStats clears every activity counter.
-func (p *IPStride) ResetStats() { p.stats = Stats{} }
-
 // SetTelemetry attaches the machine's hub so table mutations and issued
 // prefetches are traced. All emits are guarded by TraceEnabled, so a nil or
 // trace-disabled hub costs two compares per guarded site.

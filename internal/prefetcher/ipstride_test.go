@@ -452,23 +452,3 @@ func TestLineGranularObservationLosesLowBits(t *testing.T) {
 		t.Fatal("full-line stride bits lost")
 	}
 }
-
-// TestResetStatsZeroesEveryCounter: the prefetcher's activity counters gained
-// a reset alongside the cache's (same deprecation cycle); it must clear every
-// field, including the newer Trains counter.
-func TestResetStatsZeroesEveryCounter(t *testing.T) {
-	p := newDefault()
-	base := uint64(0x30000)
-	for i := uint64(0); i < 6; i++ {
-		feed(p, 0x77, base+i*7*line)
-	}
-	p.Flush()
-	s := p.stats
-	if s.Lookups == 0 || s.Trains == 0 || s.Allocs == 0 || s.Prefetches == 0 || s.Flushes == 0 {
-		t.Fatalf("setup left counters zero: %+v", s)
-	}
-	p.ResetStats()
-	if p.stats != (Stats{}) {
-		t.Fatalf("counters survived reset: %+v", p.stats)
-	}
-}

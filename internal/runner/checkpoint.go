@@ -32,6 +32,18 @@ type checkpointState struct {
 	fingerprint string
 	fs          vfs.FS
 	completed   map[string]JobResult
+	// degraded records that the campaign already counted in
+	// runner.checkpoint.degraded, which counts campaigns, not faults.
+	degraded bool
+}
+
+// degrade counts the campaign in runner.checkpoint.degraded, once however
+// many checkpoint faults it meets.
+func (st *checkpointState) degrade(c counters) {
+	if !st.degraded {
+		st.degraded = true
+		inc(c.checkpointDegraded)
+	}
 }
 
 // openCheckpoint prepares checkpoint persistence at path through fsys. With
@@ -47,11 +59,13 @@ type checkpointState struct {
 // makes the recomputed results identical. Each quarantine bumps the corrupt
 // counter (runner.checkpoint.corrupt; nil is inert) so silent-recovery
 // events still surface in /metrics. A checkpoint the disk will not return
-// (EIO) likewise degrades to no-resume — the campaign recomputes instead of
-// failing on a read the retry loop could never fix — and bumps
-// runner.checkpoint.degraded. Well-formed files that disagree (wrong schema,
-// wrong fingerprint) still fail loudly: those are configuration errors a
-// recompute would silently paper over.
+// (EIO), or a damaged one the disk will not let be renamed aside, likewise
+// degrades to no-resume — the campaign recomputes instead of failing on a
+// fault the retry loop could never fix, and the next checkpoint write
+// replaces the file — and counts the campaign in
+// runner.checkpoint.degraded. Well-formed files that disagree (wrong
+// schema, wrong fingerprint) still fail loudly: those are configuration
+// errors a recompute would silently paper over.
 func openCheckpoint(path, fingerprint string, resume bool, fsys vfs.FS, c counters, log *slog.Logger) (*checkpointState, error) {
 	st := &checkpointState{
 		path:        path,
@@ -67,7 +81,7 @@ func openCheckpoint(path, fingerprint string, resume bool, fsys vfs.FS, c counte
 		return st, nil // nothing to resume from; start fresh
 	}
 	if err != nil {
-		inc(c.checkpointDegraded)
+		st.degrade(c)
 		log.Warn("checkpoint unreadable; resuming without it (campaign recomputes)",
 			"path", path, "err", err)
 		return st, nil
@@ -75,7 +89,10 @@ func openCheckpoint(path, fingerprint string, resume bool, fsys vfs.FS, c counte
 	var f checkpointFile
 	if err := json.Unmarshal(raw, &f); err != nil {
 		if qerr := fsys.Rename(path, path+".corrupt"); qerr != nil {
-			return nil, fmt.Errorf("runner: checkpoint %s is corrupt (%v) and could not be quarantined: %w", path, err, qerr)
+			st.degrade(c)
+			log.Warn("checkpoint corrupt and could not be quarantined; resuming without it (the next checkpoint write replaces it)",
+				"path", path, "err", err, "quarantine_err", qerr)
+			return st, nil
 		}
 		inc(c.checkpointCorrupt)
 		return st, nil

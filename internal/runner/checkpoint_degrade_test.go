@@ -139,6 +139,39 @@ func TestCheckpointUnreadableDegradesToNoResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointCorruptUnquarantinableDegradesToNoResume: a torn checkpoint
+// that the disk will not let be renamed aside does not wedge the campaign.
+// The resume runs fresh, nothing is marked resumed, and the campaign counts
+// once in runner.checkpoint.degraded, although its checkpoint writes fail
+// too.
+func TestCheckpointCorruptUnquarantinableDegradesToNoResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.ckpt")
+	if err := os.WriteFile(path, []byte(`{"schema": "afterimage-runner-check`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	res, err := Run(context.Background(), []Job{intJob(0), intJob(1), intJob(2)}, Options{
+		CheckpointPath: path, Fingerprint: Fingerprint("torn"), Resume: true,
+		FS:      vfs.NewFaultFS(vfs.FaultConfig{Seed: 3, RenameFailRate: 1}, nil),
+		Metrics: reg,
+		Sleep:   noSleep,
+	})
+	if err != nil {
+		t.Fatalf("campaign failed on an unquarantinable corrupt checkpoint: %v", err)
+	}
+	for i, r := range res {
+		if r.Resumed || r.Degraded || r.Skipped {
+			t.Fatalf("result %d = %+v, want completed fresh", i, r)
+		}
+	}
+	if v := counterValue(t, reg, "runner.checkpoint.degraded"); v != 1 {
+		t.Fatalf("runner.checkpoint.degraded = %d, want 1", v)
+	}
+	if v := counterValue(t, reg, "runner.checkpoint.corrupt"); v != 0 {
+		t.Fatalf("runner.checkpoint.corrupt = %d, want 0 (nothing was quarantined)", v)
+	}
+}
+
 // TestCheckpointFaultsPreserveByteIdentity: the same campaign run over a
 // clean disk and over a checkpoint-hostile disk marshals to identical bytes —
 // checkpoint degradation is invisible in the results.

@@ -309,7 +309,7 @@ func Run(ctx context.Context, jobs []Job, o Options) ([]JobResult, error) {
 			// Degrade to no-checkpoint, never to a failed campaign: the
 			// results in memory are intact, only resumability is lost.
 			cpDead = true
-			inc(c.checkpointDegraded)
+			cp.degrade(c)
 			obslog.Ctx(o.Logger, ctx).Warn("checkpoint write failed; checkpointing disabled for this campaign (resume unavailable)",
 				"path", o.CheckpointPath, "err", err)
 			return

@@ -27,12 +27,21 @@ func violationf(component, format string, args ...interface{}) Violation {
 // violations runs every structural checker and concatenates what they find,
 // always in this order: prefetcher.ipstride, cache.hierarchy, tlb (entries,
 // then coherence with the page tables), sched, mem.spaces. Each checker is
-// read-only.
-func (m *Machine) violations() []Violation {
+// read-only. With from set, the cache levels are checked over the sets
+// dirtied since the machine was forked or reset from from (see
+// cache.Hierarchy.AuditFrom). ASIDs print normalized, as the state hash
+// folds them, so messages do not depend on how many address spaces the
+// process created before.
+func (m *Machine) violations(from *Machine) []Violation {
 	vs := asViolations("prefetcher.ipstride", m.Pref.Audit())
-	vs = append(vs, asViolations("cache.hierarchy", m.Mem.Audit())...)
-	vs = append(vs, asViolations("tlb", m.TLB.Audit())...)
-	vs = append(vs, m.auditTLBCoherence()...)
+	if from != nil {
+		vs = append(vs, asViolations("cache.hierarchy", m.Mem.AuditFrom(from.Mem))...)
+	} else {
+		vs = append(vs, asViolations("cache.hierarchy", m.Mem.Audit())...)
+	}
+	normalize := m.asidNormalize()
+	vs = append(vs, asViolations("tlb", m.TLB.Audit(normalize))...)
+	vs = append(vs, m.auditTLBCoherence(normalize)...)
 	vs = append(vs, m.auditScheduler()...)
 	return append(vs, m.auditSpaces()...)
 }
@@ -78,7 +87,8 @@ func asViolations(component string, errs []error) []Violation {
 // auditTLBCoherence walks every valid TLB entry and checks it is backed by a
 // page-table translation in the address space owning that ASID: a cached
 // translation with no backing page is the desync a missed shootdown leaves.
-func (m *Machine) auditTLBCoherence() []Violation {
+// Messages print each ASID through normalize.
+func (m *Machine) auditTLBCoherence(normalize func(uint64) uint64) []Violation {
 	spaces := map[uint64]*mem.AddressSpace{m.Kernel.AS.ID: m.Kernel.AS}
 	for _, p := range m.procs {
 		spaces[p.AS.ID] = p.AS
@@ -87,11 +97,11 @@ func (m *Machine) auditTLBCoherence() []Violation {
 	m.TLB.VisitEntries(func(asid, vpn uint64) {
 		as, ok := spaces[asid]
 		if !ok {
-			vs = append(vs, violationf("tlb", "entry (asid %d, vpn %#x) references unknown address space", asid, vpn))
+			vs = append(vs, violationf("tlb", "entry (asid %d, vpn %#x) references unknown address space", normalize(asid), vpn))
 			return
 		}
 		if _, ok := as.Translate(mem.VAddr(vpn << mem.PageShift)); !ok {
-			vs = append(vs, violationf("tlb", "entry (asid %d, vpn %#x) has no page-table backing in %q (stale translation)", asid, vpn, as.Name))
+			vs = append(vs, violationf("tlb", "entry (asid %d, vpn %#x) has no page-table backing in %q (stale translation)", normalize(asid), vpn, as.Name))
 		}
 	})
 	return vs
@@ -129,9 +139,25 @@ func (m *Machine) auditScheduler() []Violation {
 // *SimFault whose message lists every violation. The check is read-only:
 // the clock does not advance and no RNG is drawn, so auditing never changes
 // simulated outcomes.
-func (m *Machine) Audit() error {
+func (m *Machine) Audit() error { return m.audit(nil) }
+
+// AuditFrom is Audit for a machine forked or reset from t, where t audited
+// clean: while t has not changed since (the guard ResetFrom applies), the
+// cache sets the machine did not dirty still equal t's, so the three cache
+// levels are checked over their dirty sets only and the result is exactly
+// Audit's. Otherwise, and for a nil t, AuditFrom runs Audit. Every other
+// checker, and the cache inclusivity check, runs whole either way.
+func (m *Machine) AuditFrom(t *Machine) error {
+	if !m.tracks(t) {
+		t = nil
+	}
+	return m.audit(t)
+}
+
+// audit is the body of Audit and AuditFrom.
+func (m *Machine) audit(from *Machine) error {
 	m.auditRuns++
-	vs := m.violations()
+	vs := m.violations(from)
 	if len(vs) == 0 {
 		m.lastViolations = nil
 		return nil
@@ -166,6 +192,3 @@ func (m *Machine) SetAuditEvery(n int) {
 	m.auditEvery = n
 	m.sinceAudit = 0
 }
-
-// AuditEvery reports the configured cadence (0 = disabled).
-func (m *Machine) AuditEvery() int { return m.auditEvery }

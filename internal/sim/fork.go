@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"afterimage/internal/cache"
 	"afterimage/internal/mem"
 )
 
@@ -31,8 +32,9 @@ import (
 // last-audit diagnostics — per-run harness attachments, installed by the
 // driver on whichever machine it runs.
 //
-// Fork is the only way machine state is copied. It refuses while the
-// scheduler is mid-run: parked task goroutines hold uncopyable state.
+// Fork and ResetFrom are the only ways machine state is copied, and they
+// share one body. Fork refuses while the scheduler is mid-run: parked task
+// goroutines hold uncopyable state.
 func (m *Machine) Fork() (*Machine, error) {
 	if m.sched.running {
 		return nil, &SimFault{
@@ -40,73 +42,123 @@ func (m *Machine) Fork() (*Machine, error) {
 			Msg: "Fork during an active scheduler run",
 		}
 	}
-	f := &Machine{
-		Cfg:  m.Cfg,
-		Mem:  m.Mem.Fork(),
-		Pref: m.Pref.Fork(),
-		Phys: m.Phys.Clone(),
-
-		clock:    m.clock,
-		nextPID:  m.nextPID,
-		syscalls: make(map[int]SyscallHandler, len(m.syscalls)),
-
-		smtOps:      m.smtOps,
-		budgetLimit: m.budgetLimit,
-
-		auditEvery:     m.auditEvery,
-		sinceAudit:     m.sinceAudit,
-		auditRuns:      m.auditRuns,
-		auditViolation: m.auditViolation,
-
-		domainSwitches: m.domainSwitches,
-		syscallCount:   m.syscallCount,
+	f := &Machine{}
+	if err := f.copyFrom(m, m.Mem.Fork()); err != nil {
+		return nil, err
 	}
-	for num, h := range m.syscalls {
-		f.syscalls[num] = h
+	return f, nil
+}
+
+// ResetFrom overwrites the receiver with a copy of t: afterwards it is
+// state-identical to t.Fork(), and the receiver's own processes, mappings,
+// Envs and harness attachments are gone. Only the cache hierarchy is reused
+// in place. When the receiver was last forked or reset from t and t has not
+// run since, each level copies back just the sets the receiver dirtied;
+// otherwise every level is copied whole. Everything else is rebuilt exactly
+// as Fork builds it. Sweeps use it to recycle one point machine per worker
+// instead of forking the template for every point attempt.
+//
+// It refuses while either machine's scheduler is mid-run, and on t == m.
+func (m *Machine) ResetFrom(t *Machine) error {
+	if m.sched.running || t.sched.running || m == t {
+		return &SimFault{
+			Kind: FaultAPIMisuse, Domain: DomainUser, Cycle: m.clock,
+			Msg: "ResetFrom during an active scheduler run or onto itself",
+		}
 	}
-	f.jitterSrc = m.jitterSrc.Clone()
-	f.jitter = rand.New(f.jitterSrc)
-	f.noiseSrc = m.noiseSrc.Clone()
-	f.noise = rand.New(f.noiseSrc)
+	h := m.Mem
+	if m.tracks(t) {
+		h.ResetFrom(t.Mem)
+	} else {
+		h = t.Mem.Fork()
+	}
+	return m.copyFrom(t, h)
+}
+
+// tracks reports whether t is the machine m was last forked or reset from
+// and t has not changed since: its clock has not moved and it has not been
+// reset itself. Every operation that writes t's caches advances t's clock,
+// so while this holds, the cache sets m did not dirty still equal t's.
+func (m *Machine) tracks(t *Machine) bool {
+	return t != nil && m.origin == t && m.originClock == t.clock && m.originCopies == t.copies
+}
+
+// copyFrom is the body of Fork and ResetFrom: it overwrites m with a copy of
+// t, taking h as its cache hierarchy, which must already hold a copy of
+// t.Mem.
+func (m *Machine) copyFrom(t *Machine, h *cache.Hierarchy) error {
+	*m = Machine{
+		Cfg:  t.Cfg,
+		Mem:  h,
+		Pref: t.Pref.Fork(),
+		Phys: t.Phys.Clone(),
+
+		clock:    t.clock,
+		nextPID:  t.nextPID,
+		syscalls: make(map[int]SyscallHandler, len(t.syscalls)),
+
+		smtOps:      t.smtOps,
+		budgetLimit: t.budgetLimit,
+
+		auditEvery:     t.auditEvery,
+		sinceAudit:     t.sinceAudit,
+		auditRuns:      t.auditRuns,
+		auditViolation: t.auditViolation,
+
+		domainSwitches: t.domainSwitches,
+		syscallCount:   t.syscallCount,
+
+		origin:       t,
+		originClock:  t.clock,
+		originCopies: t.copies,
+		copies:       m.copies + 1,
+	}
+	for num, h := range t.syscalls {
+		m.syscalls[num] = h
+	}
+	m.jitterSrc = t.jitterSrc.Clone()
+	m.jitter = rand.New(m.jitterSrc)
+	m.noiseSrc = t.noiseSrc.Clone()
+	m.noise = rand.New(m.noiseSrc)
 
 	// Address spaces clone in creation order (kernel first, then processes),
 	// so asidNormalize assigns the same stable numbers on both machines and
 	// their state hashes agree. The clones draw fresh ASIDs from the global
-	// allocator; remap re-tags the copied TLB entries so the fork's warmed
+	// allocator; remap re-tags the copied TLB entries so the copy's warmed
 	// translations stay visible to its own processes. ASIDs outside the
 	// table — e.g. a CorruptInsert entry referencing a dead space — pass
 	// through raw, keeping audit-visible corruption audit-visible.
-	remap := make(map[uint64]uint64, len(m.procs)+1)
-	f.Kernel = &Process{PID: KernelPID, Name: m.Kernel.Name, AS: m.Kernel.AS.Clone(f.Phys)}
-	remap[m.Kernel.AS.ID] = f.Kernel.AS.ID
-	f.procs = make([]*Process, len(m.procs))
-	for i, p := range m.procs {
-		f.procs[i] = &Process{PID: p.PID, Name: p.Name, AS: p.AS.Clone(f.Phys)}
-		remap[p.AS.ID] = f.procs[i].AS.ID
+	remap := make(map[uint64]uint64, len(t.procs)+1)
+	m.Kernel = &Process{PID: KernelPID, Name: t.Kernel.Name, AS: t.Kernel.AS.Clone(m.Phys)}
+	remap[t.Kernel.AS.ID] = m.Kernel.AS.ID
+	m.procs = make([]*Process, len(t.procs))
+	for i, p := range t.procs {
+		m.procs[i] = &Process{PID: p.PID, Name: p.Name, AS: p.AS.Clone(m.Phys)}
+		remap[p.AS.ID] = m.procs[i].AS.ID
 	}
-	f.TLB = m.TLB.Fork(func(asid uint64) uint64 {
+	m.TLB = t.TLB.Fork(func(asid uint64) uint64 {
 		if n, ok := remap[asid]; ok {
 			return n
 		}
 		return asid
 	})
 
-	// Re-point the kernel noise region at the fork's own copy of the same
+	// Re-point the kernel noise region at the copy's own clone of the same
 	// mapping (matched by position — Mappings preserves creation order).
-	for i, mp := range m.Kernel.AS.Mappings() {
-		if mp == m.noiseRegion {
-			f.noiseRegion = f.Kernel.AS.Mappings()[i]
+	for i, mp := range t.Kernel.AS.Mappings() {
+		if mp == t.noiseRegion {
+			m.noiseRegion = m.Kernel.AS.Mappings()[i]
 			break
 		}
 	}
-	if f.noiseRegion == nil {
-		return nil, fmt.Errorf("sim: fork: kernel noise region not found among kernel mappings")
+	if m.noiseRegion == nil {
+		return fmt.Errorf("sim: fork: kernel noise region not found among kernel mappings")
 	}
 
-	f.sched = newScheduler(f)
+	m.sched = newScheduler(m)
 
-	f.newTelemetry()
-	return f, nil
+	m.newTelemetry()
+	return nil
 }
 
 // MustFork is Fork that panics on failure — for tests and drivers where a

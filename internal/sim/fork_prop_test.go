@@ -164,8 +164,11 @@ func genForkProgram(rng *rand.Rand, n int) forkProgram {
 // runForkIsolation executes the full property for one program set: fork
 // len(programs) machines from one warmed parent, interleave the programs
 // across the forks in seed-derived chunks, and compare every fork's final
-// hash against a solo run of the same program on a freshly built rig. Returns the index of the first diverging fork and a description,
-// or -1 when the property holds.
+// hash against a solo run of the same program on a freshly built rig; then
+// run the programs one after another on a single machine reset from the
+// parent before each, against the same references. Returns the index of
+// the first diverging program and a description, or -1 when the property
+// holds.
 func runForkIsolation(seed int64, programs []forkProgram) (int, string) {
 	parent := newForkRig(seed)
 	parentHash := parent.m.StateHash()
@@ -207,16 +210,42 @@ func runForkIsolation(seed int64, programs []forkProgram) (int, string) {
 
 	// Reference: the same programs, each alone on a freshly built,
 	// identically warmed machine.
+	want := make([]uint64, len(programs))
 	for i, prog := range programs {
 		ref := newForkRig(seed)
 		for _, op := range prog {
 			ref.exec(op)
 		}
-		if got, want := forks[i].m.StateHash(), ref.m.StateHash(); got != want {
-			return i, fmt.Sprintf("fork %d hash %#016x, solo fresh run %#016x", i, got, want)
+		want[i] = ref.m.StateHash()
+		if got := forks[i].m.StateHash(); got != want[i] {
+			return i, fmt.Sprintf("fork %d hash %#016x, solo fresh run %#016x", i, got, want[i])
 		}
 		if err := forks[i].m.Audit(); err != nil {
 			return i, fmt.Sprintf("fork %d failed final audit: %v", i, err)
+		}
+	}
+
+	// Pooled arm: one machine runs every program in turn, reset from the
+	// parent before each — the way a sweep recycles its point machines. It
+	// starts as an unrelated machine, so the first reset copies whole and
+	// the rest copy only the cache sets the previous program dirtied.
+	pooled := newForkRig(seed + 1000).m
+	for i, prog := range programs {
+		if err := pooled.ResetFrom(parent.m); err != nil {
+			return i, "reset refused: " + err.Error()
+		}
+		pr, err := parent.rebind(pooled)
+		if err != nil {
+			return i, err.Error()
+		}
+		for _, op := range prog {
+			pr.exec(op)
+		}
+		if got := pooled.StateHash(); got != want[i] {
+			return i, fmt.Sprintf("pooled machine on program %d hash %#016x, solo fresh run %#016x", i, got, want[i])
+		}
+		if err := pooled.AuditFrom(parent.m); err != nil {
+			return i, fmt.Sprintf("pooled machine on program %d failed final audit: %v", i, err)
 		}
 	}
 

@@ -124,6 +124,16 @@ type Machine struct {
 	// Counters.
 	domainSwitches uint64
 	syscallCount   uint64
+
+	// origin is the machine this one was last forked or reset from, and
+	// originClock and originCopies were origin's clock and copies then.
+	// copies counts how often Fork or ResetFrom wrote this machine, so a
+	// reset source whose clock returns to an earlier value still reads as
+	// changed.
+	origin       *Machine
+	originClock  uint64
+	originCopies uint64
+	copies       uint64
 }
 
 // Perturber is a fault-injection hook: Perturb is invoked after every clock

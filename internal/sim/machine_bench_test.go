@@ -101,6 +101,49 @@ func BenchmarkMachineFork(b *testing.B) {
 	}
 }
 
+// pointPages sizes pointWorkload's buffer: 20 pages are 1,280 lines, one
+// load each, which dirty 1,280 of the Coffee Lake LLC's 12,288 sets (10.4%) —
+// between an 8-bit V1 cross-thread point (about 3%) and an 8-bit covert
+// channel point (about 16%).
+const pointPages = 20
+
+// pointTemplate is warmedMachine plus a locked pointPages buffer that
+// pointWorkload walks on each copy.
+func pointTemplate(b *testing.B) (*Machine, mem.VAddr) {
+	b.Helper()
+	m := warmedMachine(b)
+	buf := m.Direct(m.Processes()[0]).Mmap(pointPages*mem.PageSize, mem.MapLocked)
+	return m, buf.Base
+}
+
+// pointWorkload stands in for one sweep point's attack: it loads every line
+// of the template's pointPages buffer on m, a copy of the template.
+func pointWorkload(m *Machine, base mem.VAddr) {
+	env := m.Direct(m.Processes()[0])
+	for i := 0; i < pointPages*mem.PageSize/mem.LineSize; i++ {
+		env.Load(0x400100, base+mem.VAddr(i)*mem.LineSize)
+	}
+}
+
+// BenchmarkMachineResetFrom measures the per-point copy a sweep pays
+// instead of BenchmarkMachineFork: returning a pooled machine to the
+// template after pointWorkload, which copies back only the dirtied cache
+// sets and rebuilds the small components.
+func BenchmarkMachineResetFrom(b *testing.B) {
+	t, base := pointTemplate(b)
+	m := t.MustFork()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		pointWorkload(m, base)
+		b.StartTimer()
+		if err := m.ResetFrom(t); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // hashSink keeps BenchmarkMachineStateHash's digest live.
 var hashSink uint64
 
@@ -123,6 +166,23 @@ func BenchmarkMachineAudit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := f.Audit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMachineAuditFrom measures the per-point final audit a sweep
+// pays instead of BenchmarkMachineAudit: after pointWorkload on a machine
+// reset from the template, the cache levels are checked over their dirty
+// sets only; every other checker runs whole.
+func BenchmarkMachineAuditFrom(b *testing.B) {
+	t, base := pointTemplate(b)
+	m := t.MustFork()
+	pointWorkload(m, base)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.AuditFrom(t); err != nil {
 			b.Fatal(err)
 		}
 	}

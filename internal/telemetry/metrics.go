@@ -76,15 +76,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.count.Add(1)
 }
 
-// Reset zeroes all buckets.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.sum.Store(0)
-	h.count.Store(0)
-}
-
 // HistogramSnapshot is a point-in-time copy of a histogram.
 type HistogramSnapshot struct {
 	Bounds []uint64 `json:"bounds"`

@@ -248,9 +248,6 @@ func (t *TLB) FlushAll() {
 // STLBHits reports how many first-level misses the STLB covered.
 func (t *TLB) STLBHits() uint64 { return t.stlbHits }
 
-// ResetStats clears the hit, miss and STLB-hit counters.
-func (t *TLB) ResetStats() { t.hits, t.misses, t.stlbHits = 0, 0, 0 }
-
 // RegisterMetrics exposes the TLB counters in reg: tlb.hits, tlb.misses,
 // tlb.stlb_hits. Samplers read the live counters, so the registry is the
 // one read path for them and the hot path pays nothing.
@@ -262,16 +259,17 @@ func (t *TLB) RegisterMetrics(reg *telemetry.Registry) {
 
 // Audit deep-checks both levels: LRU stamps never ahead of the set clock and
 // no duplicate valid (asid, vpn) pairs within a set. It returns every broken
-// rule.
-func (t *TLB) Audit() []error {
-	errs := t.l1.audit("dtlb")
+// rule. Messages print each ASID through normalize, which maps raw ASIDs
+// onto process-independent values as in StateHash.
+func (t *TLB) Audit(normalize func(asid uint64) uint64) []error {
+	errs := t.l1.audit("dtlb", normalize)
 	if t.stlb != nil {
-		errs = append(errs, t.stlb.audit("stlb")...)
+		errs = append(errs, t.stlb.audit("stlb", normalize)...)
 	}
 	return errs
 }
 
-func (l *level) audit(name string) []error {
+func (l *level) audit(name string, normalize func(uint64) uint64) []error {
 	var errs []error
 	for si := 0; si < l.nsets(); si++ {
 		base := si * l.ways
@@ -287,7 +285,7 @@ func (l *level) audit(name string) []error {
 			}
 			for j := i + 1; j < l.ways; j++ {
 				if l.valid[base+j] && l.vpns[base+j] == l.vpns[base+i] && l.asids[base+j] == l.asids[base+i] {
-					errs = append(errs, fmt.Errorf("tlb %s: set %d holds duplicate (asid %d, vpn %#x) in ways %d and %d", name, si, l.asids[base+i], l.vpns[base+i], i, j))
+					errs = append(errs, fmt.Errorf("tlb %s: set %d holds duplicate (asid %d, vpn %#x) in ways %d and %d", name, si, normalize(l.asids[base+i]), l.vpns[base+i], i, j))
 				}
 			}
 		}

@@ -154,13 +154,22 @@ func TestFaultScheduleInvariants(t *testing.T) {
 // iff the table says so, torn writes truncate to exactly the predicted
 // prefix, and the vfs.fault.* counters account for every injection.
 func TestFaultFSMatchesSchedule(t *testing.T) {
-	dir := t.TempDir()
+	// The schedule is keyed by path, so the test works in a temporary
+	// directory through relative names: an absolute path would carry the
+	// directory's random name and make the seed's schedule vary per run.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
 	reg := telemetry.NewRegistry()
 	cfg := FaultConfig{Seed: 99, ENOSPCRate: 0.18, EIORate: 0.18, TornWriteRate: 0.18, RenameFailRate: 0.18, Registry: reg}
 	fsys := NewFaultFS(cfg, OS())
 
-	tmp := filepath.Join(dir, "entry.tmp")
-	final := filepath.Join(dir, "entry")
+	tmp, final := "entry.tmp", "entry"
 	payload := []byte("0123456789abcdef0123456789abcdef")
 	sched := cfg.Schedule(tmp, 512)
 

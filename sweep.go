@@ -83,7 +83,7 @@ type SweepOptions struct {
 	// loads — a deterministic trace replayed through the batched load API
 	// that fills caches and TLB and trains the IP-stride prefetcher before
 	// the attack and the fault engine start. The campaign template runs the
-	// trace ONCE and each point forks the warmed state, so the trace is paid
+	// trace ONCE and each point copies the warmed state, so the trace is paid
 	// once per campaign instead of once per point; the fault engine only
 	// arms after the warmup, so the prefix is genuinely shared. Default 0.
 	Warmup int
@@ -120,9 +120,10 @@ type SweepPoint struct {
 	// budget ran out; the campaign recorded it and continued.
 	Degraded bool `json:"degraded,omitempty"`
 	// Quarantined marks a point on which a corruption fault fired: the
-	// auditor caught an invariant violation, the point was re-run from a
-	// fresh lab, and its final outcome — successful retry or degraded —
-	// must be read with that history in mind.
+	// auditor caught an invariant violation, the point was re-run on a lab
+	// reset to the campaign template (state-identical to a fresh fork), and
+	// its final outcome — successful retry or degraded — must be read with
+	// that history in mind.
 	Quarantined bool `json:"quarantined,omitempty"`
 	// StateHash is the machine's full-state digest at the end of the
 	// point's run (fresh runs only; resumed points keep the hash their
@@ -149,13 +150,17 @@ func (r SweepResult) JSON() ([]byte, error) {
 }
 
 // RunFaultSweep measures how one attack degrades under increasing fault-
-// injection intensity: for each requested intensity it forks a lab from one
+// injection intensity: for each requested intensity it takes a copy of one
 // warmed campaign template (built from this lab's options, with the
 // FullReport-aligned seed offset), installs a deterministic fault engine,
 // runs the attack through its error-hardened variant, and records accuracy,
-// confidence and applied perturbations. The whole curve is a pure function of the options and the
-// lab seed — rerunning with the same seed reproduces it point for point,
-// regardless of worker count or checkpoint resume.
+// confidence and applied perturbations. The campaign keeps one point lab
+// per runner worker and resets it from the template between attempts,
+// copying back only the cache sets the previous attempt dirtied; a reset
+// lab is state-identical to a fresh fork. The whole curve is a pure
+// function of the options and the lab seed — rerunning with the same seed
+// reproduces it point for point, regardless of worker count or checkpoint
+// resume.
 func (l *Lab) RunFaultSweep(o SweepOptions) SweepResult {
 	res, _ := l.RunFaultSweepCtx(context.Background(), o)
 	return res
@@ -173,7 +178,7 @@ func (l *Lab) RunFaultSweepCtx(ctx context.Context, o SweepOptions) (SweepResult
 }
 
 // runFaultSweep is RunFaultSweepCtx with fresh set to boot every point
-// attempt from scratch instead of forking the warmed template. The two are
+// attempt from scratch instead of copying the warmed template. The two are
 // bit-identical point for point and share one fingerprint; the fresh boot is
 // the reference the fork-vs-fresh differential tests and BenchmarkSweepFresh
 // compare the forked campaign against.
@@ -184,18 +189,28 @@ func (l *Lab) runFaultSweep(ctx context.Context, o SweepOptions, fresh bool) (Sw
 	o, labOpts := l.sweepNormalize(o)
 
 	// The campaign's shared prefix is warmed once: one pristine template lab
-	// per configuration, forked for every point attempt. The template is
-	// never run, so concurrent forks from parallel workers are concurrent
-	// reads.
-	var tmpl *Lab
+	// per configuration, audited once, and copied for every point attempt.
+	// The template is never run, so concurrent copies from parallel workers
+	// are concurrent reads.
+	var labs *pointLabs
 	if !fresh {
-		tmpl = NewLab(labOpts)
+		tmpl := NewLab(labOpts)
 		tmpl.runSweepWarmup(o.Warmup)
+		labs = &pointLabs{tmpl: tmpl}
+		if tmpl.m.Audit() == nil {
+			labs.auditFrom = tmpl.m
+		}
+		if !l.traceOn {
+			// One idle lab per runner worker: at most that many attempts
+			// run at once, so a larger pool would only hold memory.
+			labs.pool = make(chan *Lab, max(1, o.Runner.Workers))
+		}
 	}
 
-	// childLabs retains each point's lab (fresh runs only) so the parent can
-	// absorb its event trace after the pool drains; distinct indices make
-	// the writes race-free under parallel workers.
+	// childLabs retains each point's lab (traced runs only) so the parent
+	// can absorb its event trace after the pool drains; distinct indices
+	// make the writes race-free under parallel workers. A traced campaign
+	// keeps no pool, so every attempt gets a lab of its own.
 	childLabs := make([]*Lab, len(o.Intensities))
 	jobs := make([]runner.Job, len(o.Intensities))
 	for i, intensity := range o.Intensities {
@@ -203,9 +218,11 @@ func (l *Lab) runFaultSweep(ctx context.Context, o SweepOptions, fresh bool) (Sw
 		jobs[i] = runner.Job{
 			Key: sweepPointKey(o.Attack, i, intensity),
 			Run: func(jctx context.Context, attempt int) (any, error) {
-				pt, lab, err := runSweepPoint(jctx, tmpl, labOpts, o, intensity, attempt, l.traceOn, l.traceCap)
+				pt, lab, err := runSweepPoint(jctx, labs, labOpts, o, intensity, attempt, l.traceOn, l.traceCap)
 				if l.traceOn {
 					childLabs[i] = lab
+				} else {
+					labs.put(lab)
 				}
 				return pt, err
 			},
@@ -360,18 +377,58 @@ func hasCorruptionHistory(history []string) bool {
 	return false
 }
 
-// runSweepPoint executes one sweep point in its own lab — a fork of the
-// campaign template when one is provided, else a fresh boot (the two are
-// bit-identical; replay re-executes points fresh and diffs their hashes
-// against the ones the forked campaign recorded). It installs the salted fault engine,
-// runs the attack through its error-hardened variant, then audits the
-// final machine state and digests it. A failing final audit turns an
-// otherwise-successful attempt into a corruption fault, so silently
-// corrupted points are retried (quarantined) instead of reported.
-func runSweepPoint(jctx context.Context, tmpl *Lab, labOpts Options, o SweepOptions, intensity float64, attempt int, trace bool, traceCap int) (SweepPoint, *Lab, error) {
+// pointLabs hands out the labs a forked campaign's point attempts run on,
+// each a copy of the warmed template: a pooled lab reset in place from the
+// template when one is free, a fresh fork otherwise. Both are
+// state-identical to the template. A nil pool (traced campaigns) forks
+// every time and keeps nothing.
+type pointLabs struct {
+	tmpl *Lab
+	// auditFrom is the template's machine when it audited clean after
+	// warmup, else nil. A point's final AuditFrom(auditFrom) then checks
+	// only the cache sets the point dirtied, or runs the full Audit, so a
+	// corrupt template still fails every point.
+	auditFrom *sim.Machine
+	pool      chan *Lab
+}
+
+// get returns a lab holding a copy of the template.
+func (p *pointLabs) get() *Lab {
+	select {
+	case lab := <-p.pool:
+		if lab.resetFrom(p.tmpl) == nil {
+			return lab
+		}
+	default:
+	}
+	return p.tmpl.MustFork()
+}
+
+// put offers a finished lab back to the pool. The caller must have read
+// everything it needs from the lab: the next get overwrites it.
+func (p *pointLabs) put(lab *Lab) {
+	if p == nil {
+		return
+	}
+	select {
+	case p.pool <- lab:
+	default:
+	}
+}
+
+// runSweepPoint executes one sweep point attempt in a lab of its own — a
+// copy of the campaign template from labs when it is set, else a fresh
+// boot (the two are bit-identical; replay re-executes points fresh and
+// diffs their hashes against the ones the forked campaign recorded). It
+// installs the salted fault engine, runs the attack through its
+// error-hardened variant, then audits the final machine state and digests
+// it. A failing final audit turns an otherwise-successful attempt into a
+// corruption fault, so silently corrupted points are retried (quarantined)
+// instead of reported. It returns the lab; the point has been read from it.
+func runSweepPoint(jctx context.Context, labs *pointLabs, labOpts Options, o SweepOptions, intensity float64, attempt int, trace bool, traceCap int) (SweepPoint, *Lab, error) {
 	var lab *Lab
-	if tmpl != nil {
-		lab = tmpl.MustFork()
+	if labs != nil {
+		lab = labs.get()
 	} else {
 		lab = NewLab(labOpts)
 		lab.runSweepWarmup(o.Warmup)
@@ -414,8 +471,13 @@ func runSweepPoint(jctx context.Context, tmpl *Lab, labOpts Options, o SweepOpti
 	}
 	if err == nil {
 		// Final audit: whatever the cadence setting, a point never reports
-		// success over structurally corrupt state.
-		err = lab.m.Audit()
+		// success over structurally corrupt state. AuditFrom reports
+		// exactly what Audit would.
+		var from *sim.Machine
+		if labs != nil {
+			from = labs.auditFrom
+		}
+		err = lab.m.AuditFrom(from)
 	}
 	if err != nil {
 		pt.Err = err.Error()
