@@ -120,11 +120,28 @@ func NewLab(opts Options) *Lab {
 		cfg.DCUEnabled, cfg.DPLEnabled, cfg.StreamerEnabled = false, false, false
 	}
 	cfg.MaxCycles = opts.MaxCycles
-	m := sim.NewMachine(cfg)
-	m.SetAuditEvery(opts.AuditEvery)
-	l := &Lab{opts: opts, m: m}
-	l.rng, l.rngSrc = detrand.New(opts.Seed + 31)
+	l := &Lab{opts: opts, m: sim.NewMachine(cfg)}
+	l.boot()
 	return l
+}
+
+// reboot returns the lab to the state NewLab(l.opts) builds, in place: the
+// machine reboots (see sim.Machine.Reboot) and the lab-level state is set
+// as NewLab sets it. Sweeps without a warmup recycle point labs this way.
+func (l *Lab) reboot() error {
+	if err := l.m.Reboot(); err != nil {
+		return err
+	}
+	l.boot()
+	return nil
+}
+
+// boot is the lab-level part of NewLab and reboot, on a freshly built
+// machine: the audit cadence, the lab RNG at its seed, tracing off.
+func (l *Lab) boot() {
+	l.m.SetAuditEvery(l.opts.AuditEvery)
+	l.rng, l.rngSrc = detrand.New(l.opts.Seed + 31)
+	l.traceOn, l.traceCap = false, 0
 }
 
 // Fork returns an independent lab whose simulated state is bit-identical

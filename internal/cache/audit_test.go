@@ -49,25 +49,33 @@ func auditFixture(cfg Config, pol PolicyKind) *Cache {
 	return c
 }
 
+// plantSet returns the global set number of slice si, set i of c and marks
+// the set dirty. Every plant edits a set's arrays through it: a plant goes
+// past the writers that mark, and a level audits and hashes only its dirty
+// sets when its origin is nil or is the level audited from.
+func plantSet(c *Cache, si, i int) int {
+	g := si*int(c.nsets) + i
+	c.markDirty(g)
+	return g
+}
+
 // Views into slice si, set i of c's flat arrays, so a plant edits the
 // cache in place.
-func gsetOf(c *Cache, si, i int) int { return si*int(c.nsets) + i }
-
 func linesOf(c *Cache, si, i int) []uint64 {
-	g := gsetOf(c, si, i)
+	g := plantSet(c, si, i)
 	return c.lines[g*c.ways : (g+1)*c.ways]
 }
 
 // stampsOf returns set (si, i)'s LRU/FIFO stamps and its clock.
 func stampsOf(c *Cache, si, i int) ([]uint64, uint64) {
-	g := gsetOf(c, si, i)
+	g := plantSet(c, si, i)
 	return c.pol.stamps[g*c.ways : (g+1)*c.ways], c.pol.clocks[g]
 }
 
 // setAllOnes plants the all-ones Bit-PLRU state into set (si, i): every
 // MRU bit set and the counter agreeing, which Touch never leaves behind.
 func setAllOnes(c *Cache, si, i int) {
-	g := gsetOf(c, si, i)
+	g := plantSet(c, si, i)
 	mru := c.pol.mru[g*c.ways : (g+1)*c.ways]
 	for w := range mru {
 		mru[w] = true
@@ -75,18 +83,13 @@ func setAllOnes(c *Cache, si, i int) {
 	c.pol.ones[g] = int32(c.ways)
 }
 
-// markChanged marks dirty every set of c whose lines, valid bits or
-// replacement state differ from parent's — plants edit the arrays
-// directly, past the writers that mark — and every third set besides.
-func markChanged(c, parent *Cache) {
-	for g := 0; g < c.nslices*int(c.nsets); g++ {
-		lo, hi := g*c.ways, (g+1)*c.ways
-		if g%3 == 0 || !slices.Equal(c.lines[lo:hi], parent.lines[lo:hi]) ||
-			!slices.Equal(c.valid[lo:hi], parent.valid[lo:hi]) ||
-			!slices.Equal(c.pol.SaveInto(nil, g), parent.pol.SaveInto(nil, g)) {
-			c.markDirty(g)
-		}
+// findings renders audit errors as their messages.
+func findings(errs []error) []string {
+	var out []string
+	for _, err := range errs {
+		out = append(out, err.Error())
 	}
+	return out
 }
 
 // TestAuditMessages pins the exact text and order of every audit finding:
@@ -94,7 +97,8 @@ func markChanged(c, parent *Cache) {
 // sliced-LLC-shaped cache, alone, several to a set and across sets. A clean set must produce nothing, including the cases a faster
 // check could get wrong: a duplicate held only in an invalid way, and line
 // words at or above 2^58, whose byte address wraps. The dirty-set audit
-// must print the same findings.
+// must print the same findings, and so must the audit of a booted level
+// the same plants go into, which checks its dirty sets only.
 func TestAuditMessages(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -125,7 +129,7 @@ func TestAuditMessages(t *testing.T) {
 		{
 			name: "l1/duplicate-into-invalid-way", shape: l1Shape, pol: BitPLRU,
 			plant: func(c *Cache) {
-				g := gsetOf(c, 0, 2)
+				g := plantSet(c, 0, 2)
 				linesOf(c, 0, 2)[6] = linesOf(c, 0, 2)[0]
 				c.valid[g*c.ways+6] = true
 				c.vcnt[g]++
@@ -136,7 +140,7 @@ func TestAuditMessages(t *testing.T) {
 		},
 		{
 			name: "l1/bitplru-ones-mismatch", shape: l1Shape, pol: BitPLRU,
-			plant: func(c *Cache) { c.pol.ones[gsetOf(c, 0, 0)]++ },
+			plant: func(c *Cache) { c.pol.ones[plantSet(c, 0, 0)]++ },
 			want: []string{
 				`cache "L1D": slice 0 set 0 policy: Bit-PLRU: ones counter 5 != popcount 4`,
 			},
@@ -155,7 +159,7 @@ func TestAuditMessages(t *testing.T) {
 				lines[2] = lineIn(c, 0, 9, 3)
 				lines[4] = lines[0]
 				lines[6] = lines[0]
-				c.pol.ones[gsetOf(c, 0, 0)] += 2
+				c.pol.ones[plantSet(c, 0, 0)] += 2
 			},
 			want: []string{
 				`cache "L1D": slice 0 set 0 holds line 0x0 in ways 0 and 4`,
@@ -321,7 +325,7 @@ func TestAuditMessages(t *testing.T) {
 			name: "llc/bitplru-mismatch-and-wrong-slice", shape: llcShape, pol: BitPLRU,
 			plant: func(c *Cache) {
 				linesOf(c, 0, 1)[4] = lineIn(c, 1, 1, 0)
-				c.pol.ones[gsetOf(c, 0, 1)] = 0
+				c.pol.ones[plantSet(c, 0, 1)] = 0
 				setAllOnes(c, 7, 1535)
 			},
 			want: []string{
@@ -341,25 +345,31 @@ func TestAuditMessages(t *testing.T) {
 			if tc.plant != nil {
 				tc.plant(c)
 			}
-			var got []string
-			for _, err := range c.Audit() {
-				got = append(got, err.Error())
-			}
-			if !slices.Equal(got, tc.want) {
+			if got := findings(c.Audit()); !slices.Equal(got, tc.want) {
 				t.Errorf("audit findings:\n got %q\nwant %q", got, tc.want)
 			}
-			// The dirty-set audit, over every planted set plus clean ones,
-			// prints the same findings in the same order.
-			markChanged(c, parent)
-			got = got[:0]
-			for _, err := range c.audit(true) {
-				got = append(got, err.Error())
+			// The dirty-set audit, over every planted set plus every third
+			// set besides, prints the same findings in the same order.
+			for g := 0; g < len(c.vcnt); g += 3 {
+				c.markDirty(g)
 			}
-			if !slices.Equal(got, tc.want) {
+			if got := findings(c.audit(true)); !slices.Equal(got, tc.want) {
 				t.Errorf("dirty-set audit findings:\n got %q\nwant %q", got, tc.want)
 			}
 			if errs := parent.Audit(); len(errs) != 0 {
 				t.Errorf("planting into the fork dirtied the parent: %v", errs)
+			}
+			// Planted into the booted fixture itself, the findings are the
+			// same from its Audit, over its dirty sets, and from the full
+			// audit of its fork.
+			if tc.plant != nil {
+				tc.plant(parent)
+			}
+			if got := findings(parent.Audit()); !slices.Equal(got, tc.want) {
+				t.Errorf("booted-level audit findings:\n got %q\nwant %q", got, tc.want)
+			}
+			if got := findings(parent.Fork().Audit()); !slices.Equal(got, tc.want) {
+				t.Errorf("findings of the booted level's fork:\n got %q\nwant %q", got, tc.want)
 			}
 		})
 	}

@@ -84,6 +84,11 @@ type Cache struct {
 	// dirty holds one bit per global set, set by every write to the set's
 	// ways or replacement state since the level was last forked or reset
 	// from origin; those sets are the only ones that can differ from it.
+	//
+	// The boot-relative invariant: a level whose origin is nil differs from
+	// its constructor state only in its dirty sets. New establishes it, the
+	// four writers that mark sets keep it, and copyFrom(nil), the reset to
+	// the constructor state, restores it. StateHash and Audit rely on it.
 	dirty  []uint64
 	origin *Cache
 
@@ -130,12 +135,15 @@ func New(cfg Config) (*Cache, error) {
 	c.prefetched = make([]bool, gsets*cfg.Ways)
 	c.vcnt = make([]int32, gsets)
 	c.dirty = make([]uint64, (gsets+63)/64)
-	// Per-set seeds reproduce the seed code's newSet(…, PolicySeed+s*1000+i).
-	c.pol = NewPolicyArray(cfg.Policy, gsets, cfg.Ways, func(g int) int64 {
-		s, i := g/int(nsets), g%int(nsets)
-		return cfg.PolicySeed + int64(s*1000+i)
-	})
+	c.pol = NewPolicyArray(cfg.Policy, gsets, cfg.Ways, c.policySeed)
 	return c, nil
+}
+
+// policySeed is global set g's replacement seed; per-set seeds reproduce
+// the seed code's newSet(…, PolicySeed+s*1000+i). Only RandomPolicy uses it.
+func (c *Cache) policySeed(g int) int64 {
+	s, i := g/int(c.nsets), g%int(c.nsets)
+	return c.cfg.PolicySeed + int64(s*1000+i)
 }
 
 // MustNew is New that panics on config errors.
@@ -217,6 +225,10 @@ func (c *Cache) gsetOfLine(line uint64) int {
 
 // markDirty records a write to global set g.
 func (c *Cache) markDirty(g int) { c.dirty[g>>6] |= 1 << (uint(g) & 63) }
+
+// isDirty reports whether global set g was written since the last fork or
+// reset.
+func (c *Cache) isDirty(g int) bool { return c.dirty[g>>6]&(1<<(uint(g)&63)) != 0 }
 
 // lookupLine scans the line's set, returning the flat way index. The
 // subslices let the compiler drop per-way bounds checks.

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"afterimage/internal/mem"
@@ -244,5 +246,80 @@ func TestHierarchyAuditFromOnlyChecksDirtySets(t *testing.T) {
 	f.LLC.markDirty(clean)
 	if errs := f.AuditFrom(h); len(errs) != 1 {
 		t.Fatalf("AuditFrom over the dirtied set: %v", errs)
+	}
+}
+
+// randomOps applies n seed-derived accesses, demand and prefetch fills and
+// removes to c over 120 lines that share 12 set indexes, so sets evict
+// while most of c's 256 sets stay clean. It returns the access hits.
+func randomOps(c *Cache, seed int64, n int) []bool {
+	rng := rand.New(rand.NewSource(seed))
+	var hits []bool
+	for i := 0; i < n; i++ {
+		p := mem.PAddr(uint64(rng.Intn(12))+uint64(rng.Intn(10))*128) * mem.LineSize
+		switch rng.Intn(4) {
+		case 0:
+			c.Fill(p)
+		case 1:
+			c.FillPrefetch(p)
+		case 2:
+			c.Remove(p)
+		default:
+			hits = append(hits, c.Access(p))
+		}
+	}
+	return hits
+}
+
+// TestBootedStateHashMatchesFork: on a level whose origin is nil, StateHash
+// folds each clean set as the constructor state's zeros without reading
+// it, and Audit checks only the dirty sets. Under every replacement policy
+// the hash must equal that of the level's fork, which folds every set: at
+// construction, after random operations, and after copyFrom(nil), the
+// reset to the constructor state, which must also hash like a new level
+// and behave like one (a Random set's source reseeded). A forked level
+// reset to the constructor state clears every set and passes the same
+// checks.
+func TestBootedStateHashMatchesFork(t *testing.T) {
+	for _, pol := range []PolicyKind{LRU, FIFO, BitPLRU, TreePLRU, RandomPolicy} {
+		t.Run(pol.String(), func(t *testing.T) {
+			cfg := Config{Name: "t", SizeBytes: 64 << 10, Ways: 4, LineSize: 64,
+				Slices: 2, Policy: pol, PolicySeed: 9}
+			newHash := MustNew(cfg).StateHash()
+			requireForkHash := func(what string, c *Cache) {
+				t.Helper()
+				if got, want := c.StateHash(), c.Fork().StateHash(); got != want {
+					t.Fatalf("%s: hash %#x, its fork's full fold %#x", what, got, want)
+				}
+				if errs := c.Audit(); len(errs) != 0 {
+					t.Fatalf("%s: audit %v", what, errs)
+				}
+			}
+			requireNew := func(what string, c *Cache) {
+				t.Helper()
+				requireForkHash(what, c)
+				if c.origin != nil || c.StateHash() != newHash {
+					t.Fatalf("%s: not the constructor state", what)
+				}
+				fresh := MustNew(cfg)
+				got, want := randomOps(c, 3, 600), randomOps(fresh, 3, 600)
+				if !slices.Equal(got, want) || c.StateHash() != fresh.StateHash() {
+					t.Fatalf("%s: diverged from a new level under an identical stream", what)
+				}
+				requireForkHash(what+", then the stream", c)
+			}
+
+			c := MustNew(cfg)
+			requireForkHash("new level", c)
+			randomOps(c, 1, 2000)
+			requireForkHash("after random operations", c)
+			c.copyFrom(nil)
+			requireNew("after a reset to the constructor state", c)
+
+			f := c.Fork()
+			randomOps(f, 2, 2000)
+			f.copyFrom(nil)
+			requireNew("forked level after a reset to the constructor state", f)
+		})
 	}
 }

@@ -165,26 +165,36 @@ func (h *Hierarchy) Flush(p mem.PAddr) {
 // Contains reports whether any level holds the line of p.
 func (h *Hierarchy) Contains(p mem.PAddr) bool { return h.Probe(p) != LevelDRAM }
 
+// levels returns the three levels, or three nils for a nil h: the
+// constructor state, as ResetFrom and AuditFrom read a nil source.
+func (h *Hierarchy) levels() [3]*Cache {
+	if h == nil {
+		return [3]*Cache{}
+	}
+	return [3]*Cache{h.L1, h.L2, h.LLC}
+}
+
 // Audit deep-checks every level plus the cross-level inclusivity invariant:
 // each valid L1 or L2 line must also be resident in the LLC. It returns
-// every broken rule.
+// every broken rule. It is AuditFrom(nil): a booted or rebooted level is
+// checked over its dirty sets only (see Cache.Audit), any other level
+// whole.
 func (h *Hierarchy) Audit() []error { return h.AuditFrom(nil) }
 
 // AuditFrom is Audit for a hierarchy last forked or reset from src, where
 // src audited clean and has not changed since: the sets a level did not
 // dirty still equal src's, so each level whose origin is src's is checked
-// over its dirty sets only, and reports exactly what Audit would. A level
-// with another origin is checked whole. The inclusivity check always stays
-// whole: an LLC eviction in a dirty set can strand a line that a clean L1
-// set holds.
+// over its dirty sets only, and reports exactly what Audit would. A nil src
+// is the constructor state, which is sound, so a level whose origin is nil
+// is checked over its dirty sets too. A level with another origin is
+// checked whole. The inclusivity check always stays whole: an LLC eviction
+// in a dirty set can strand a line that a clean L1 set holds. On a booted
+// level the clean sets hold no valid lines, so the walk is short.
 func (h *Hierarchy) AuditFrom(src *Hierarchy) []error {
-	var from [3]*Cache
-	if src != nil {
-		from = [3]*Cache{src.L1, src.L2, src.LLC}
-	}
+	from := src.levels()
 	var errs []error
-	for i, c := range [3]*Cache{h.L1, h.L2, h.LLC} {
-		errs = append(errs, c.audit(from[i] != nil && c.origin == from[i])...)
+	for i, c := range h.levels() {
+		errs = append(errs, c.audit(c.origin == from[i])...)
 	}
 	for _, inner := range []*Cache{h.L1, h.L2} {
 		c := inner

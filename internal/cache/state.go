@@ -16,12 +16,24 @@ func lineAddr(line, lineSize uint64) mem.PAddr { return mem.PAddr(line * lineSiz
 // and counters — into a stable 64-bit digest. The fold order (set contents
 // then policy words, slice-major over sets) matches the seed implementation
 // word for word.
+//
+// On a level whose origin is nil, a clean set holds its constructor state
+// (the boot-relative invariant): zero lines, false valid and prefetched
+// bits, and a policy layout of zeros, Random's draw count included. It
+// folds as those zeros in constant time without being read, to the digest
+// the full fold gives.
 func (c *Cache) StateHash() uint64 {
 	h := statehash.New()
 	h.Str(c.cfg.Name)
 	gsets := c.nslices * int(c.nsets)
 	scratch := make([]uint64, 0, c.ways+2)
+	booted := c.origin == nil
+	polWords := len(c.pol.SaveInto(scratch, 0)) // the same for every set
 	for g := 0; g < gsets; g++ {
+		if booted && !c.isDirty(g) {
+			h.ZeroU64s(c.ways).ZeroBools(c.ways).ZeroBools(c.ways).ZeroU64s(polWords)
+			continue
+		}
 		base := g * c.ways
 		scratch = c.pol.SaveInto(scratch[:0], g)
 		h.U64s(c.lines[base : base+c.ways]).
@@ -40,8 +52,10 @@ func (c *Cache) StateHash() uint64 {
 //
 // Each set first gets setSound, an exact check that builds no messages;
 // only a set that fails it is walked again by auditSet, which reports each
-// broken rule. A clean audit is therefore one pass over the level.
-func (c *Cache) Audit() []error { return c.audit(false) }
+// broken rule. A clean audit is therefore one pass over the level. A level
+// whose origin is nil is checked over its dirty sets only: its other sets
+// hold the constructor state, which breaks no rule.
+func (c *Cache) Audit() []error { return c.audit(c.origin == nil) }
 
 // audit is Audit over every set or, with dirtyOnly, over the sets dirtied
 // since the last fork or reset. Either way it visits sets in ascending

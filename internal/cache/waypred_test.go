@@ -91,7 +91,7 @@ func TestWayPredictorBoundaries(t *testing.T) {
 			c := parent.Fork()
 			// Corrupt the fork: duplicate p's line into a second way of its
 			// set, as a fault in the fill path could.
-			g := c.SliceOf(p)*int(c.NumSets()) + int(c.SetOf(p))
+			g := plantSet(c, c.SliceOf(p), int(c.SetOf(p)))
 			base := g * c.ways
 			var src int
 			for w := 0; w < c.ways; w++ {

@@ -29,7 +29,9 @@ func violationf(component, format string, args ...interface{}) Violation {
 // then coherence with the page tables), sched, mem.spaces. Each checker is
 // read-only. With from set, the cache levels are checked over the sets
 // dirtied since the machine was forked or reset from from (see
-// cache.Hierarchy.AuditFrom). ASIDs print normalized, as the state hash
+// cache.Hierarchy.AuditFrom); without it, a booted or rebooted level is
+// checked over its dirty sets and any other level whole (see
+// cache.Hierarchy.Audit). ASIDs print normalized, as the state hash
 // folds them, so messages do not depend on how many address spaces the
 // process created before.
 func (m *Machine) violations(from *Machine) []Violation {
@@ -134,7 +136,10 @@ func (m *Machine) auditScheduler() []Violation {
 	return vs
 }
 
-// Audit runs every structural checker over the machine's state.
+// Audit runs every structural checker over the machine's state; on a
+// booted or rebooted machine, whose cache sets differ from the constructor
+// state only where dirtied, the cache levels are checked over their dirty
+// sets, which reports exactly what checking every set would.
 // It returns nil when the state is structurally sound, or a FaultCorruption
 // *SimFault whose message lists every violation. The check is read-only:
 // the clock does not advance and no RNG is drawn, so auditing never changes

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"afterimage/internal/mem"
@@ -24,9 +25,11 @@ import (
 //     runs each program on a newly built, identically warmed machine, so it
 //     shares no code with the fork it checks.
 //
-// A violation is shrunk with delta debugging (chunk removal down to single
-// ops, holding the other forks' programs fixed) and written under
-// testdata/ for replay; stored counterexamples run first as regressions.
+// The same programs then run one after another on one pooled machine,
+// reset from the parent before each, and on one machine rebooted before
+// each. A violation is shrunk with delta debugging (chunk removal down to
+// single ops, in every program) and written under testdata/ for replay;
+// stored counterexamples run first as regressions.
 
 // forkOp is one operation of a property program, JSON-encodable so shrunk
 // counterexamples can be stored and replayed.
@@ -61,10 +64,13 @@ type forkRig struct {
 
 // newForkRig boots a NOISY machine (context-switch noise, jitter and
 // kernel-noise RNGs all live, so the test proves Fork clones every stream)
-// with one process, one locked buffer and a V2-style kernel syscall that
-// loads a caller-supplied user address from the kernel domain.
-func newForkRig(seed int64) *forkRig {
-	m := NewMachine(CoffeeLake(seed))
+// and sets the rig up on it.
+func newForkRig(seed int64) *forkRig { return bootForkRig(NewMachine(CoffeeLake(seed))) }
+
+// bootForkRig sets the rig up on m, a booted or rebooted machine: one
+// process, one locked buffer, a V2-style kernel syscall that loads a
+// caller-supplied user address from the kernel domain, and a warm prefix.
+func bootForkRig(m *Machine) *forkRig {
 	m.RegisterSyscall(1, func(e *Env, args ...uint64) uint64 {
 		e.LoadUser(0xffffffff81000040, mem.VAddr(args[0]))
 		return 0
@@ -166,7 +172,8 @@ func genForkProgram(rng *rand.Rand, n int) forkProgram {
 // across the forks in seed-derived chunks, and compare every fork's final
 // hash against a solo run of the same program on a freshly built rig; then
 // run the programs one after another on a single machine reset from the
-// parent before each, against the same references. Returns the index of
+// parent before each, and on a single machine rebooted and set up as a
+// fresh rig before each, against the same references. Returns the index of
 // the first diverging program and a description, or -1 when the property
 // holds.
 func runForkIsolation(seed int64, programs []forkProgram) (int, string) {
@@ -249,49 +256,76 @@ func runForkIsolation(seed int64, programs []forkProgram) (int, string) {
 		}
 	}
 
+	// Reboot arm: one machine runs every program in turn, rebooted and set
+	// up as a fresh rig before each — the way a sweep without a warmup
+	// recycles its point machines. It starts with the rig's history, so the
+	// first reboot already clears dirty sets. A rebooted machine folds its
+	// clean cache sets as zeros, so its fork, which folds every set, must
+	// hash the same, and its Audit checks only the dirty sets.
+	rebooted := newForkRig(seed).m
+	for i, prog := range programs {
+		if err := rebooted.Reboot(); err != nil {
+			return i, "reboot refused: " + err.Error()
+		}
+		rr := bootForkRig(rebooted)
+		for _, op := range prog {
+			rr.exec(op)
+		}
+		if got := rebooted.StateHash(); got != want[i] {
+			return i, fmt.Sprintf("rebooted machine on program %d hash %#016x, solo fresh run %#016x", i, got, want[i])
+		}
+		if got := rebooted.MustFork().StateHash(); got != want[i] {
+			return i, fmt.Sprintf("fork of the rebooted machine on program %d hash %#016x, solo fresh run %#016x", i, got, want[i])
+		}
+		if err := rebooted.Audit(); err != nil {
+			return i, fmt.Sprintf("rebooted machine on program %d failed final audit: %v", i, err)
+		}
+	}
+
 	if got := parent.m.StateHash(); got != parentHash {
 		return 0, fmt.Sprintf("parent hash mutated by fork runs: %#016x -> %#016x", parentHash, got)
 	}
 	return -1, ""
 }
 
-// shrinkForkProgram minimises the diverging fork's program with delta
-// debugging (chunk removal down to single ops), holding the other forks'
-// programs fixed; any surviving failure counts, so the result is a minimal
-// counterexample for the seed.
-func shrinkForkProgram(seed int64, programs []forkProgram, bad int) []forkProgram {
-	fails := func(cand []forkProgram) bool {
-		i, _ := runForkIsolation(seed, cand)
-		return i >= 0
-	}
-	cur := programs[bad]
-	rebuild := func(p forkProgram) []forkProgram {
-		out := append([]forkProgram(nil), programs...)
-		out[bad] = p
-		return out
-	}
-	for chunk := len(cur) / 2; chunk >= 1; {
-		removedAny := false
-		for start := 0; start < len(cur); {
-			cand := make(forkProgram, 0, len(cur)-chunk)
-			cand = append(cand, cur[:start]...)
-			end := start + chunk
-			if end > len(cur) {
-				end = len(cur)
+// shrinkForkPrograms minimises a failing program set with delta debugging:
+// it shrinks each program in turn (chunk removal down to single ops),
+// holding the others fixed, and repeats the round until no removal in any
+// program keeps fails true. The pooled and rebooted arms carry state from
+// one program to the next on the same machine, so the ops behind a failure
+// can sit in an earlier program than the one that diverged; shrinking every
+// program keeps them and drops the rest.
+func shrinkForkPrograms(programs []forkProgram, fails func([]forkProgram) bool) []forkProgram {
+	cur := append([]forkProgram(nil), programs...)
+	for removed := true; removed; {
+		removed = false
+		for i := range cur {
+			with := func(p forkProgram) []forkProgram {
+				out := append([]forkProgram(nil), cur...)
+				out[i] = p
+				return out
 			}
-			cand = append(cand, cur[end:]...)
-			if fails(rebuild(cand)) {
-				cur = cand
-				removedAny = true
-			} else {
-				start += chunk
+			p := cur[i]
+			for chunk := max(len(p)/2, 1); chunk >= 1 && len(p) > 0; {
+				removedAny := false
+				for start := 0; start < len(p); {
+					end := min(start+chunk, len(p))
+					cand := append(append(forkProgram{}, p[:start]...), p[end:]...)
+					if fails(with(cand)) {
+						p = cand
+						removedAny, removed = true, true
+					} else {
+						start += chunk
+					}
+				}
+				if !removedAny {
+					chunk /= 2
+				}
 			}
-		}
-		if !removedAny {
-			chunk /= 2
+			cur[i] = p
 		}
 	}
-	return rebuild(cur)
+	return cur
 }
 
 const forkPropCaseDir = "testdata/fork_counterexamples"
@@ -313,11 +347,46 @@ func TestForkIsolationProperty(t *testing.T) {
 		if bad < 0 {
 			continue
 		}
-		min := shrinkForkProgram(seed, programs, bad)
-		minBad, minDesc := runForkIsolation(seed, min)
-		path := saveForkPropCase(t, forkPropCase{Seed: seed, Bad: minBad, Programs: min})
-		t.Fatalf("seed %d: fork isolation violated at fork %d (%s); shrunk program %d to %d ops (%s), saved to %s",
-			seed, bad, desc, minBad, len(min[minBad]), minDesc, path)
+		shrunk := shrinkForkPrograms(programs, func(ps []forkProgram) bool {
+			i, _ := runForkIsolation(seed, ps)
+			return i >= 0
+		})
+		minBad, minDesc := runForkIsolation(seed, shrunk)
+		lens := make([]int, len(shrunk))
+		for i, p := range shrunk {
+			lens[i] = len(p)
+		}
+		path := saveForkPropCase(t, forkPropCase{Seed: seed, Bad: minBad, Programs: shrunk})
+		t.Fatalf("seed %d: fork isolation violated at program %d (%s); shrunk the programs to %v ops, failing at program %d (%s), saved to %s",
+			seed, bad, desc, lens, minBad, minDesc, path)
+	}
+}
+
+// TestShrinkForkProgramsMinimizesEveryProgram: with a failure that needs
+// op A in program 0 and op B in program 2, the shrinker must strip every
+// other op from all three programs, program 1 included.
+func TestShrinkForkProgramsMinimizesEveryProgram(t *testing.T) {
+	a := forkOp{Kind: "op-a", Page: 3}
+	b := forkOp{Kind: "op-b", Line: 9}
+	rng := rand.New(rand.NewSource(5))
+	programs := make([]forkProgram, 3)
+	for i := range programs {
+		programs[i] = genForkProgram(rng, 40)
+	}
+	programs[0] = slices.Insert(programs[0], 17, a)
+	programs[2] = slices.Insert(programs[2], 5, b)
+	fails := func(ps []forkProgram) bool {
+		return slices.Contains(ps[0], a) && slices.Contains(ps[2], b)
+	}
+	got := shrinkForkPrograms(programs, fails)
+	want := []forkProgram{{a}, {}, {b}}
+	if len(got) != len(want) {
+		t.Fatalf("shrunk to %d programs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("program %d shrunk to %v, want %v", i, got[i], want[i])
+		}
 	}
 }
 

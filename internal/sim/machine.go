@@ -125,11 +125,11 @@ type Machine struct {
 	domainSwitches uint64
 	syscallCount   uint64
 
-	// origin is the machine this one was last forked or reset from, and
-	// originClock and originCopies were origin's clock and copies then.
-	// copies counts how often Fork or ResetFrom wrote this machine, so a
-	// reset source whose clock returns to an earlier value still reads as
-	// changed.
+	// origin is the machine this one was last forked or reset from (nil
+	// after a boot), and originClock and originCopies were origin's clock
+	// and copies then. copies counts how often a boot, Fork, ResetFrom or
+	// Reboot wrote this machine, so a reset or rebooted source whose clock
+	// returns to an earlier value still reads as changed.
 	origin       *Machine
 	originClock  uint64
 	originCopies uint64
@@ -165,8 +165,39 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: invalid hierarchy: %w", err)
 	}
+	m := &Machine{}
+	if err := m.boot(cfg, h); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Reboot returns the machine to the state NewMachine(m.Cfg) builds, in
+// place. The cache hierarchy keeps its arrays: a level that has only been
+// booted or rebooted clears just the sets it dirtied since, any other
+// level every set (cache.Hierarchy.ResetFrom(nil)). Everything else is
+// rebuilt by the body NewMachineChecked runs, so the machine's processes,
+// mappings, Envs and harness attachments are gone. Machines forked or
+// reset from this one see it as changed. Sweeps without a warmup use it
+// to recycle one point machine per worker.
+//
+// It refuses while the scheduler is mid-run.
+func (m *Machine) Reboot() error {
+	if m.sched.running {
+		return &SimFault{
+			Kind: FaultAPIMisuse, Domain: DomainUser, Cycle: m.clock,
+			Msg: "Reboot during an active scheduler run",
+		}
+	}
+	m.Mem.ResetFrom(nil)
+	return m.boot(m.Cfg, m.Mem)
+}
+
+// boot is the body of NewMachineChecked and Reboot: it overwrites m with a
+// machine built from cfg around h, a hierarchy in its constructor state.
+func (m *Machine) boot(cfg Config, h *cache.Hierarchy) error {
 	if err := cfg.IPStride.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: invalid IP-stride config: %w", err)
+		return fmt.Errorf("sim: invalid IP-stride config: %w", err)
 	}
 	suite := &prefetcher.Suite{
 		IPStride: prefetcher.NewIPStride(cfg.IPStride),
@@ -175,13 +206,14 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 		Streamer: prefetcher.NewStreamer(2),
 	}
 	suite.Streamer.Enabled = cfg.StreamerEnabled
-	m := &Machine{
+	*m = Machine{
 		Cfg:      cfg,
 		Mem:      h,
 		TLB:      tlb.New(cfg.TLB),
 		Pref:     suite,
 		Phys:     mem.NewPhysMemory(cfg.PhysMem),
 		syscalls: make(map[int]SyscallHandler),
+		copies:   m.copies + 1,
 	}
 	m.jitter, m.jitterSrc = detrand.New(cfg.Seed + 7)
 	m.noise, m.noiseSrc = detrand.New(cfg.Seed + 13)
@@ -190,13 +222,13 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 		AS: mem.NewAddressSpace("kernel", m.Phys, kaslrSeed(cfg))}
 	noiseRegion, err := m.Kernel.AS.Mmap(64*mem.PageSize, mem.MapLocked)
 	if err != nil {
-		return nil, fmt.Errorf("sim: kernel noise region: %w", err)
+		return fmt.Errorf("sim: kernel noise region: %w", err)
 	}
 	m.noiseRegion = noiseRegion
 	m.sched = newScheduler(m)
 
 	m.newTelemetry()
-	return m, nil
+	return nil
 }
 
 // newTelemetry gives the machine a fresh observability hub whose samplers

@@ -144,11 +144,39 @@ func BenchmarkMachineResetFrom(b *testing.B) {
 	}
 }
 
+// bootedPoint boots the quiet machine benchMachine starts from and runs
+// pointWorkload on a fresh pointPages buffer: the state a sweep point
+// without a warmup leaves, whose booted cache levels hash and audit only
+// the sets the point dirtied.
+func bootedPoint(m *Machine) {
+	buf := m.Direct(m.NewProcess("bench")).Mmap(pointPages*mem.PageSize, mem.MapLocked)
+	pointWorkload(m, buf.Base)
+}
+
+// BenchmarkMachineReboot measures the per-point reset a sweep without a
+// warmup pays: rebooting a machine after bootedPoint, which clears only
+// the dirtied cache sets and rebuilds the small components. Compare it
+// with BenchmarkMachineResetFrom and BenchmarkNewMachine.
+func BenchmarkMachineReboot(b *testing.B) {
+	m := NewMachine(Quiet(CoffeeLake(1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bootedPoint(m)
+		b.StartTimer()
+		if err := m.Reboot(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // hashSink keeps BenchmarkMachineStateHash's digest live.
 var hashSink uint64
 
 // BenchmarkMachineStateHash measures the per-point state digest: one fold
-// over every component, dominated by the multi-megabyte LLC arrays.
+// over every component, dominated by the multi-megabyte LLC arrays. It
+// hashes a fork, whose cache levels fold every set.
 func BenchmarkMachineStateHash(b *testing.B) {
 	f := warmedMachine(b).MustFork()
 	b.ReportAllocs()
@@ -158,8 +186,22 @@ func BenchmarkMachineStateHash(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineStateHashBooted is the per-point state digest of a sweep
+// point without a warmup: after bootedPoint, the clean cache sets fold as
+// zeros without being read.
+func BenchmarkMachineStateHashBooted(b *testing.B) {
+	m := NewMachine(Quiet(CoffeeLake(1)))
+	bootedPoint(m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hashSink = m.StateHash()
+	}
+}
+
 // BenchmarkMachineAudit measures the per-point invariant audit of a clean
-// machine: every cache set, the TLB, the prefetchers and the scheduler.
+// machine: every cache set, the TLB, the prefetchers and the scheduler. It
+// audits a fork, whose cache levels are checked whole.
 func BenchmarkMachineAudit(b *testing.B) {
 	f := warmedMachine(b).MustFork()
 	b.ReportAllocs()
@@ -188,8 +230,25 @@ func BenchmarkMachineAuditFrom(b *testing.B) {
 	}
 }
 
-// BenchmarkNewMachine measures construction cost: campaign drivers boot a
-// fresh machine per experiment point, so this rides every sweep.
+// BenchmarkMachineAuditBooted is the per-point final audit of a sweep
+// point without a warmup: after bootedPoint, Audit checks the cache levels
+// over their dirty sets only; every other checker runs whole.
+func BenchmarkMachineAuditBooted(b *testing.B) {
+	m := NewMachine(Quiet(CoffeeLake(1)))
+	bootedPoint(m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Audit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewMachine measures construction cost. A sweep without a warmup
+// boots one machine per runner worker and reboots it for every later point
+// attempt (BenchmarkMachineReboot); the fresh-boot reference and one-off
+// experiments boot one per point.
 func BenchmarkNewMachine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -7,7 +7,9 @@ import (
 
 // Reset suite: ResetFrom must leave the receiver state-identical to a fork
 // of its source, on the dirty-set path and on both whole-copy fallbacks,
-// and AuditFrom must report exactly what Audit reports.
+// Reboot must leave it state-identical to a new machine, and AuditFrom and
+// the dirty-set Audit of a booted machine must report exactly what a full
+// audit reports.
 
 // resetProgram runs a fixed, seed-derived program on a machine rebound to
 // the fork-property rig: loads, batches, flushes, syscalls and enclave calls
@@ -141,9 +143,70 @@ func TestResetFromRefused(t *testing.T) {
 	}
 }
 
+// TestReboot: Reboot returns a machine to the state NewMachine(m.Cfg)
+// builds, in place, from a booted history and from a forked one. The
+// rebooted machine hashes like a new machine and like its own fork, whose
+// hash folds every cache set, audits clean, and still matches the new
+// machine after both run the same program. A fork taken before the reboot
+// no longer tracks the machine. Reboot refuses mid-run.
+func TestReboot(t *testing.T) {
+	const seed = 8
+	booted := newForkRig(seed)
+	resetProgram(t, booted, booted.m, 51)
+	forked := booted.m.MustFork()
+	resetProgram(t, booted, forked, 52)
+	for name, m := range map[string]*Machine{"booted-history": booted.m, "forked-history": forked} {
+		t.Run(name, func(t *testing.T) {
+			child := m.MustFork()
+			h := m.Mem
+			if err := m.Reboot(); err != nil {
+				t.Fatal(err)
+			}
+			if m.Mem != h {
+				t.Fatal("reboot did not reuse the hierarchy in place")
+			}
+			if child.tracks(m) {
+				t.Fatal("a fork taken before the reboot still tracks the machine")
+			}
+			fresh := NewMachine(m.Cfg)
+			requireFresh := func(what string) {
+				t.Helper()
+				want := fresh.StateHash()
+				if got := m.StateHash(); got != want {
+					t.Fatalf("%s: hash %#016x, new machine %#016x", what, got, want)
+				}
+				if got := m.MustFork().StateHash(); got != want {
+					t.Fatalf("%s: fork's hash %#016x, new machine %#016x", what, got, want)
+				}
+				if err := m.Audit(); err != nil {
+					t.Fatalf("%s: audit %v", what, err)
+				}
+			}
+			requireFresh("rebooted")
+			rm, rf := bootForkRig(m), bootForkRig(fresh)
+			for _, op := range genForkProgram(rand.New(rand.NewSource(77)), 80) {
+				rm.exec(op)
+				rf.exec(op)
+			}
+			requireFresh("after one program")
+		})
+	}
+	t.Run("refused-mid-run", func(t *testing.T) {
+		m := NewMachine(Quiet(CoffeeLake(3)))
+		var err error
+		m.Spawn(m.NewProcess("p"), "t", func(e *Env) { err = m.Reboot() })
+		m.Run()
+		if f, ok := AsFault(err); !ok || f.Kind != FaultAPIMisuse {
+			t.Fatalf("Reboot inside a scheduler run: %v, want an API-misuse SimFault", err)
+		}
+	})
+}
+
 // TestAuditFromMatchesAudit: on a reset machine with each corruption class
 // applied, AuditFrom's dirty-set cache audit reports the same fault text as
-// the full Audit; with the guard broken it is the full Audit.
+// the full Audit; with the guard broken it is the full Audit. On a booted
+// machine, Audit checks the cache levels over their dirty sets only and
+// reports the same fault text as the full audit of its fork.
 func TestAuditFromMatchesAudit(t *testing.T) {
 	for _, tc := range corruptionCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -164,6 +227,12 @@ func TestAuditFromMatchesAudit(t *testing.T) {
 			env.Load(0x40_0100, buf.Base)
 			if got := m.AuditFrom(tmpl); got == nil || got.Error() != full.Error() {
 				t.Fatalf("AuditFrom past the guard %v, want %v", got, full)
+			}
+
+			tc.corrupt(t, tmpl)
+			booted, whole := tmpl.Audit(), tmpl.MustFork().Audit()
+			if booted == nil || whole == nil || booted.Error() != whole.Error() {
+				t.Fatalf("booted machine's Audit %v\nfull audit of its fork %v", booted, whole)
 			}
 		})
 	}

@@ -26,6 +26,11 @@
 // The packed words are the ones a bool-at-a-time loop builds (bool n at bit
 // n%64), so digests do not depend on how the bits were gathered, nor on the
 // host's byte order.
+//
+// A run of zeros folds in constant time. A zero word's step (h ^ 0) * prime
+// is a bare multiply, so ZeroU64s and ZeroBools fold n zero words, or n
+// false bools, as one multiply by a power of the prime: a cache set known to
+// hold its constructor state folds to the same digest without being read.
 package statehash
 
 import (
@@ -107,6 +112,42 @@ func (h *Hash) U64s(vs []uint64) *Hash {
 	}
 	h.h = acc
 	return h
+}
+
+// ZeroU64s folds exactly what U64s folds for n zero words, in constant
+// time: a zero word's step (h ^ 0) * prime is a bare multiply, so the
+// length prefix's multiply and the n zero steps are one multiply by
+// prime^(n+1).
+func (h *Hash) ZeroU64s(n int) *Hash {
+	h.byte(tagSlice)
+	h.h = (h.h ^ uint64(n)) * primePow(n+1)
+	return h
+}
+
+// ZeroBools folds exactly what Bools folds for n false bools: the length
+// prefix, then ceil(n/64) zero words.
+func (h *Hash) ZeroBools(n int) *Hash {
+	h.byte(tagSlice)
+	h.h = (h.h ^ uint64(n)) * primePow((n+63)/64+1)
+	return h
+}
+
+// primePows tables prime64^k for the small k a cache set's zero folds use.
+var primePows = func() (t [256]uint64) {
+	t[0] = 1
+	for k := 1; k < len(t); k++ {
+		t[k] = t[k-1] * prime64
+	}
+	return t
+}()
+
+// primePow returns prime64^k (mod 2^64), from the table in chunks.
+func primePow(k int) uint64 {
+	p := uint64(1)
+	for ; k >= len(primePows); k -= len(primePows) - 1 {
+		p *= primePows[len(primePows)-1]
+	}
+	return p * primePows[k]
 }
 
 // Bools folds a slice of bools with a length prefix, bit-packed 64 per

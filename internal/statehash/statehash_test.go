@@ -28,6 +28,35 @@ func refBools(h *Hash, vs []bool) *Hash {
 	return h
 }
 
+// refPrefixes are the differently seeded hash states the fold tests start
+// from.
+var refPrefixes = map[string]func() *Hash{
+	"none": New,
+	"u64":  func() *Hash { return New().U64(0x9e3779b97f4a7c15) },
+	"str":  func() *Hash { return New().Str("cache.llc") },
+}
+
+// TestZeroFoldsMatchSlices: ZeroU64s and ZeroBools yield the digests U64s
+// and Bools give zero slices of the same length, for every length 0..200
+// and for lengths that need the power table more than once, after each
+// prefix.
+func TestZeroFoldsMatchSlices(t *testing.T) {
+	lengths := []int{255, 256, 257, 510, 511, 512, 4096, 16383}
+	for n := 0; n <= 200; n++ {
+		lengths = append(lengths, n)
+	}
+	for prefix, start := range refPrefixes {
+		for _, n := range lengths {
+			if got, want := start().ZeroU64s(n).Sum(), start().U64s(make([]uint64, n)).Sum(); got != want {
+				t.Fatalf("ZeroU64s(%d) after %s prefix: digest %#x, U64s %#x", n, prefix, got, want)
+			}
+			if got, want := start().ZeroBools(n).Sum(), start().Bools(make([]bool, n)).Sum(); got != want {
+				t.Fatalf("ZeroBools(%d) after %s prefix: digest %#x, Bools %#x", n, prefix, got, want)
+			}
+		}
+	}
+}
+
 // TestBoolsMatchesReference: the packed fold yields the reference digest
 // for every length 0..200 (so every tail length and word boundary), for
 // all-false, all-true, alternating and random patterns, at every byte
@@ -45,17 +74,12 @@ func TestBoolsMatchesReference(t *testing.T) {
 		"alternating": func(i int) bool { return i%2 == 1 },
 		"random":      func(i int) bool { return random[i] },
 	}
-	prefixes := map[string]func() *Hash{
-		"none": New,
-		"u64":  func() *Hash { return New().U64(0x9e3779b97f4a7c15) },
-		"str":  func() *Hash { return New().Str("cache.llc") },
-	}
 	for pname, pattern := range patterns {
 		backing := make([]bool, maxLen+maxOff)
 		for i := range backing {
 			backing[i] = pattern(i)
 		}
-		for prefix, start := range prefixes {
+		for prefix, start := range refPrefixes {
 			for off := 0; off <= maxOff; off++ {
 				for n := 0; n <= maxLen; n++ {
 					vs := backing[off : off+n]

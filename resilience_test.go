@@ -54,6 +54,24 @@ func TestSweepZeroIntensityMatchesDirectRuns(t *testing.T) {
 	}
 }
 
+// TestSweepWarmupPrefetcherCounts pins what the campaign warmup trace does
+// to the IP-stride prefetcher, which SweepOptions.Warmup and DESIGN.md
+// describe: its 16 IPs alias onto 4 history entries whose stride never
+// settles, so 400k loads allocate 4 entries and issue no prefetch.
+func TestSweepWarmupPrefetcherCounts(t *testing.T) {
+	for _, seed := range []int64{1, 777} {
+		l := NewLab(Options{Seed: seed})
+		l.runSweepWarmup(400_000)
+		c := l.MetricsSnapshot().Counters
+		if got := c["prefetcher.ipstride.prefetches"]; got != 0 {
+			t.Errorf("seed %d: ipstride.prefetches %d, want 0", seed, got)
+		}
+		if got := c["prefetcher.ipstride.allocs"]; got != 4 {
+			t.Errorf("seed %d: ipstride.allocs %d, want 4", seed, got)
+		}
+	}
+}
+
 // TestSweepDeterministic: the whole curve is a pure function of seed and
 // options, including the faulted points.
 func TestSweepDeterministic(t *testing.T) {

@@ -81,11 +81,14 @@ type SweepOptions struct {
 	Runner runner.Options
 	// Warmup preconditions every point's machine with this many strided
 	// loads — a deterministic trace replayed through the batched load API
-	// that fills caches and TLB and trains the IP-stride prefetcher before
-	// the attack and the fault engine start. The campaign template runs the
-	// trace ONCE and each point copies the warmed state, so the trace is paid
-	// once per campaign instead of once per point; the fault engine only
-	// arms after the warmup, so the prefix is genuinely shared. Default 0.
+	// before the attack and the fault engine start. It fills the L1 and L2,
+	// populates the TLB and keeps the streamer issuing; it does not make the
+	// IP-stride prefetcher fire (see runSweepWarmup). The campaign template
+	// runs the trace ONCE and each point copies the warmed state, so the
+	// trace is paid once per campaign instead of once per point; the fault
+	// engine only arms after the warmup, so the prefix is genuinely shared.
+	// Default 0: no template, and each point runs on a booted or rebooted
+	// lab.
 	Warmup int
 }
 
@@ -121,9 +124,10 @@ type SweepPoint struct {
 	Degraded bool `json:"degraded,omitempty"`
 	// Quarantined marks a point on which a corruption fault fired: the
 	// auditor caught an invariant violation, the point was re-run on a lab
-	// reset to the campaign template (state-identical to a fresh fork), and
-	// its final outcome — successful retry or degraded — must be read with
-	// that history in mind.
+	// reset to the campaign template (state-identical to a fresh fork) or,
+	// without a warmup, on a rebooted lab (state-identical to a fresh boot),
+	// and its final outcome — successful retry or degraded — must be read
+	// with that history in mind.
 	Quarantined bool `json:"quarantined,omitempty"`
 	// StateHash is the machine's full-state digest at the end of the
 	// point's run (fresh runs only; resumed points keep the hash their
@@ -150,17 +154,20 @@ func (r SweepResult) JSON() ([]byte, error) {
 }
 
 // RunFaultSweep measures how one attack degrades under increasing fault-
-// injection intensity: for each requested intensity it takes a copy of one
-// warmed campaign template (built from this lab's options, with the
-// FullReport-aligned seed offset), installs a deterministic fault engine,
-// runs the attack through its error-hardened variant, and records accuracy,
-// confidence and applied perturbations. The campaign keeps one point lab
-// per runner worker and resets it from the template between attempts,
-// copying back only the cache sets the previous attempt dirtied; a reset
-// lab is state-identical to a fresh fork. The whole curve is a pure
-// function of the options and the lab seed — rerunning with the same seed
-// reproduces it point for point, regardless of worker count or checkpoint
-// resume.
+// injection intensity: for each requested intensity it takes a lab built
+// from this lab's options (with the FullReport-aligned seed offset),
+// installs a deterministic fault engine, runs the attack through its
+// error-hardened variant, and records accuracy, confidence and applied
+// perturbations. The campaign keeps one point lab per runner worker. With
+// a warmup, each point lab is a copy of one warmed campaign template, reset
+// from it between attempts by copying back only the cache sets the
+// previous attempt dirtied; a reset lab is state-identical to a fresh fork.
+// Without one there is no template: each point lab is booted once and
+// rebooted between attempts by clearing only the cache sets the previous
+// attempt dirtied; a rebooted lab is state-identical to a fresh boot. The
+// whole curve is a pure function of the options and the lab seed —
+// rerunning with the same seed reproduces it point for point, regardless
+// of worker count or checkpoint resume.
 func (l *Lab) RunFaultSweep(o SweepOptions) SweepResult {
 	res, _ := l.RunFaultSweepCtx(context.Background(), o)
 	return res
@@ -177,28 +184,32 @@ func (l *Lab) RunFaultSweepCtx(ctx context.Context, o SweepOptions) (SweepResult
 	return l.runFaultSweep(ctx, o, false)
 }
 
-// runFaultSweep is RunFaultSweepCtx with fresh set to boot every point
-// attempt from scratch instead of copying the warmed template. The two are
+// runFaultSweep is RunFaultSweepCtx with fresh set to boot and warm every
+// point attempt from scratch instead of recycling point labs. The two are
 // bit-identical point for point and share one fingerprint; the fresh boot is
 // the reference the fork-vs-fresh differential tests and BenchmarkSweepFresh
-// compare the forked campaign against.
+// compare the pooled campaign against.
 func (l *Lab) runFaultSweep(ctx context.Context, o SweepOptions, fresh bool) (SweepResult, error) {
 	if err := o.Validate(); err != nil {
 		return SweepResult{Attack: o.Attack.String(), Model: l.ModelName()}, err
 	}
 	o, labOpts := l.sweepNormalize(o)
 
-	// The campaign's shared prefix is warmed once: one pristine template lab
-	// per configuration, audited once, and copied for every point attempt.
-	// The template is never run, so concurrent copies from parallel workers
-	// are concurrent reads.
+	// A warm campaign's shared prefix is warmed once: one pristine template
+	// lab per configuration, audited once, and copied for every point
+	// attempt. The template is never run, so concurrent copies from
+	// parallel workers are concurrent reads. Without a warmup there is no
+	// prefix to share, and point labs are booted instead.
 	var labs *pointLabs
 	if !fresh {
-		tmpl := NewLab(labOpts)
-		tmpl.runSweepWarmup(o.Warmup)
-		labs = &pointLabs{tmpl: tmpl}
-		if tmpl.m.Audit() == nil {
-			labs.auditFrom = tmpl.m
+		labs = &pointLabs{opts: labOpts}
+		if o.Warmup > 0 {
+			tmpl := NewLab(labOpts)
+			tmpl.runSweepWarmup(o.Warmup)
+			labs.tmpl = tmpl
+			if tmpl.m.Audit() == nil {
+				labs.auditFrom = tmpl.m
+			}
 		}
 		if !l.traceOn {
 			// One idle lab per runner worker: at most that many attempts
@@ -299,12 +310,17 @@ const sweepWarmupPages = 64
 
 // runSweepWarmup replays the campaign's preconditioning trace: n loads from
 // 16 interleaved IPs, each walking its own line-granular progression over a
-// shared 64-page buffer — enough to fill the upper cache levels, populate
-// the TLB and keep the IP-stride prefetcher trained and firing. The trace
-// is a pure function of the load index, so a template that runs it once and
-// a fresh lab that replays it per point reach identical state. It runs
-// through the batched load API in 256-op chunks with a reused latency
-// buffer, which keeps the whole warmup on the zero-allocation path.
+// shared 64-page buffer. It fills the L1 and L2, populates the TLB and keeps
+// the streamer issuing, but it does not make the IP-stride prefetcher fire:
+// the 16 IPs (0x5a0000 + k·0x40) share 4 low-byte tags, so they alias onto
+// 4 history entries whose stride never settles, and over 400k loads the
+// table allocates 4 entries and issues no prefetch on every seed
+// (TestSweepWarmupPrefetcherCounts). The trace stays as it is because every
+// warm result and the warm campaign goldens depend on it. It is a pure
+// function of the load index, so a template that runs it once and a fresh
+// lab that replays it per point reach identical state. It runs through the
+// batched load API in 256-op chunks with a reused latency buffer, which
+// keeps the whole warmup on the zero-allocation path.
 func (l *Lab) runSweepWarmup(n int) {
 	if n <= 0 {
 		return
@@ -377,29 +393,41 @@ func hasCorruptionHistory(history []string) bool {
 	return false
 }
 
-// pointLabs hands out the labs a forked campaign's point attempts run on,
-// each a copy of the warmed template: a pooled lab reset in place from the
-// template when one is free, a fresh fork otherwise. Both are
-// state-identical to the template. A nil pool (traced campaigns) forks
-// every time and keeps nothing.
+// pointLabs hands out the labs a campaign's point attempts run on. With a
+// warmup, each is a copy of the warmed template: a pooled lab reset in
+// place from the template when one is free, a fresh fork otherwise, both
+// state-identical to the template. Without one, tmpl is nil and each is a
+// fresh boot: a pooled lab rebooted in place when one is free, NewLab(opts)
+// otherwise, both state-identical to NewLab(opts). A nil pool (traced
+// campaigns) forks or boots every time and keeps nothing.
 type pointLabs struct {
+	opts Options
 	tmpl *Lab
 	// auditFrom is the template's machine when it audited clean after
 	// warmup, else nil. A point's final AuditFrom(auditFrom) then checks
-	// only the cache sets the point dirtied, or runs the full Audit, so a
-	// corrupt template still fails every point.
+	// only the cache sets the point dirtied, or runs Audit, so a corrupt
+	// template still fails every point. Audit itself checks a booted or
+	// rebooted lab's cache levels over their dirty sets only.
 	auditFrom *sim.Machine
 	pool      chan *Lab
 }
 
-// get returns a lab holding a copy of the template.
+// get returns a lab holding a copy of the template, or a fresh boot when
+// there is none.
 func (p *pointLabs) get() *Lab {
 	select {
 	case lab := <-p.pool:
-		if lab.resetFrom(p.tmpl) == nil {
+		if p.tmpl == nil {
+			if lab.reboot() == nil {
+				return lab
+			}
+		} else if lab.resetFrom(p.tmpl) == nil {
 			return lab
 		}
 	default:
+	}
+	if p.tmpl == nil {
+		return NewLab(p.opts)
 	}
 	return p.tmpl.MustFork()
 }
@@ -416,10 +444,11 @@ func (p *pointLabs) put(lab *Lab) {
 	}
 }
 
-// runSweepPoint executes one sweep point attempt in a lab of its own — a
-// copy of the campaign template from labs when it is set, else a fresh
-// boot (the two are bit-identical; replay re-executes points fresh and
-// diffs their hashes against the ones the forked campaign recorded). It
+// runSweepPoint executes one sweep point attempt in a lab of its own — one
+// from labs when it is set (a copy of the warmed template, or a booted or
+// rebooted lab when the campaign has no warmup), else a fresh boot that
+// replays the warmup (all are bit-identical; replay re-executes points
+// fresh and diffs their hashes against the ones the campaign recorded). It
 // installs the salted fault engine, runs the attack through its
 // error-hardened variant, then audits the final machine state and digests
 // it. A failing final audit turns an otherwise-successful attempt into a
@@ -472,7 +501,8 @@ func runSweepPoint(jctx context.Context, labs *pointLabs, labOpts Options, o Swe
 	if err == nil {
 		// Final audit: whatever the cadence setting, a point never reports
 		// success over structurally corrupt state. AuditFrom reports
-		// exactly what Audit would.
+		// exactly what a full audit would; so does Audit on a lab that was
+		// only booted or rebooted, which visits its dirty sets only.
 		var from *sim.Machine
 		if labs != nil {
 			from = labs.auditFrom
