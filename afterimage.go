@@ -89,12 +89,6 @@ type Lab struct {
 	// replaced) so Fork can clone it at its exact position.
 	rng    *rand.Rand
 	rngSrc *detrand.Source
-
-	// traceOn / traceCap remember EnableTrace so campaign drivers
-	// (RunFaultSweep) can propagate the same tracing configuration into the
-	// fresh per-point labs they boot.
-	traceOn  bool
-	traceCap int
 }
 
 // NewLab boots a fresh simulated machine. Invalid options panic with a
@@ -125,23 +119,16 @@ func NewLab(opts Options) *Lab {
 	return l
 }
 
-// reboot returns the lab to the state NewLab(l.opts) builds, in place: the
-// machine reboots (see sim.Machine.Reboot) and the lab-level state is set
-// as NewLab sets it. Sweeps without a warmup recycle point labs this way.
-func (l *Lab) reboot() error {
-	if err := l.m.Reboot(); err != nil {
-		return err
-	}
-	l.boot()
-	return nil
-}
-
-// boot is the lab-level part of NewLab and reboot, on a freshly built
-// machine: the audit cadence, the lab RNG at its seed, tracing off.
+// boot is the lab-level part of NewLab and resetFrom(nil), on a freshly
+// built machine: the audit cadence and the lab RNG at its seed, reseeded in
+// place when the lab already has one.
 func (l *Lab) boot() {
 	l.m.SetAuditEvery(l.opts.AuditEvery)
-	l.rng, l.rngSrc = detrand.New(l.opts.Seed + 31)
-	l.traceOn, l.traceCap = false, 0
+	if l.rng == nil {
+		l.rng, l.rngSrc = detrand.New(l.opts.Seed + 31)
+	} else {
+		l.rng.Seed(l.opts.Seed + 31)
+	}
 }
 
 // Fork returns an independent lab whose simulated state is bit-identical
@@ -164,25 +151,34 @@ func (l *Lab) Fork() (*Lab, error) {
 
 // resetFrom overwrites the lab with a copy of t in place: the machine
 // resets from t's (see sim.Machine.ResetFrom), and the result is
-// state-identical to t.Fork(). Sweeps recycle point labs this way.
+// state-identical to t.Fork(). A nil t is the constructor state: the lab
+// becomes state-identical to NewLab(l.opts). Sweeps recycle point labs
+// this way.
 func (l *Lab) resetFrom(t *Lab) error {
-	if err := l.m.ResetFrom(t.m); err != nil {
+	var tm *sim.Machine
+	if t != nil {
+		tm = t.m
+	}
+	if err := l.m.ResetFrom(tm); err != nil {
 		return err
 	}
-	l.adopt(t)
+	if t == nil {
+		l.boot()
+	} else {
+		l.adopt(t)
+	}
 	return nil
 }
 
 // adopt copies t's lab-level state onto l, whose machine already holds a
-// copy of t's: the options, the RNG at its exact stream position, and the
-// trace setting, which re-enables tracing on l's own hub.
+// copy of t's: the options, the RNG at its exact stream position, and
+// tracing, which is turned on in l's own hub with t's ring capacity.
 func (l *Lab) adopt(t *Lab) {
 	l.opts = t.opts
 	l.rngSrc = t.rngSrc.Clone()
 	l.rng = rand.New(l.rngSrc)
-	l.traceOn, l.traceCap = t.traceOn, t.traceCap
-	if t.traceOn {
-		l.m.Telemetry().EnableTrace(t.traceCap)
+	if b := t.m.Telemetry().Bus(); b != nil {
+		l.m.Telemetry().EnableTrace(b.Cap())
 	}
 }
 

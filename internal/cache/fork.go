@@ -8,21 +8,23 @@ import (
 
 // Fork and reset: copy a cache level (and the whole hierarchy) so a point
 // machine can diverge from a warmed template without sharing mutable state,
-// or return a level to its constructor state so a point machine can be
-// rebooted in place. One routine, copyFrom, does all three. Fork allocates a
+// or return a level to its constructor state so a point machine can start
+// over in place. One routine, copyFrom, does all three. Fork allocates a
 // level and copies every array into it: about 3.8 MB for a warmed Coffee
 // Lake machine, almost all of it the LLC's line, valid, prefetched and stamp
 // arrays. ResetFrom copies back in place, and when the level was last forked
 // or reset from the same source it copies only the sets the level dirtied
-// since. ResetFrom(nil) reboots: a level whose origin is nil clears only its
-// dirty sets, any other level every array. The bookkeeping is one bit per
-// set, which the four writers of a set — the scan-hit branch of Access,
-// insert, fillMissed and Remove — set with a single OR. An 8-bit attack
-// point dirties about 3% (V1 cross-thread) to 16% (covert channel) of the
-// LLC's 12,288 sets, so a reset copies or clears that share of the LLC a
-// fork copies, and the point's final audit checks the same sets. On a level
-// whose origin is nil, StateHash also reads only the dirty sets: every
-// other set folds as the constructor state's zeros.
+// since. ResetFrom(nil) returns to the constructor state: a level whose
+// origin is nil clears only its dirty sets, any other level every array.
+// The bookkeeping is one bit per set, which the four writers of a set — the
+// scan-hit branch of Access, insert, fillMissed and Remove — set with a
+// single OR. An 8-bit attack point dirties about 3% (V1 cross-thread) to
+// 16% (covert channel) of the LLC's 12,288 sets, so a reset copies or
+// clears that share of the LLC a fork copies, and the point's final audit
+// (Hierarchy.Audit on a booted level, AuditFrom on a copy of a source that
+// audited clean) checks the same sets. On a level whose origin is nil,
+// StateHash also reads only the dirty sets: every other set folds as the
+// constructor state's zeros.
 
 // Clone returns an independent deep copy of the engine. The Tree-PLRU
 // touch masks are fixed at construction and shared; everything mutable is
@@ -167,8 +169,9 @@ func (h *Hierarchy) Fork() *Hierarchy {
 // src to its constructor state. A level last forked or reset from src's
 // level copies back only the sets it dirtied since, which is exact only
 // while src has not changed in between; the caller guarantees that
-// (sim.Machine.ResetFrom checks src's clock). With a nil src, a level
-// whose origin is nil clears only its dirty sets.
+// (sim.Machine.ResetFrom checks src's clock and copies). With a nil src, a
+// level whose origin is nil clears only its dirty sets, any other level
+// every set.
 func (h *Hierarchy) ResetFrom(src *Hierarchy) {
 	from := src.levels()
 	for i, c := range h.levels() {

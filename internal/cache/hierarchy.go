@@ -176,20 +176,24 @@ func (h *Hierarchy) levels() [3]*Cache {
 
 // Audit deep-checks every level plus the cross-level inclusivity invariant:
 // each valid L1 or L2 line must also be resident in the LLC. It returns
-// every broken rule. It is AuditFrom(nil): a booted or rebooted level is
-// checked over its dirty sets only (see Cache.Audit), any other level
-// whole.
+// every broken rule. It is AuditFrom(nil): a level whose origin is nil,
+// which has been booted or reset to the constructor state since it was
+// last copied, is checked over its dirty sets only (see Cache.Audit), any
+// other level whole.
 func (h *Hierarchy) Audit() []error { return h.AuditFrom(nil) }
 
 // AuditFrom is Audit for a hierarchy last forked or reset from src, where
 // src audited clean and has not changed since: the sets a level did not
 // dirty still equal src's, so each level whose origin is src's is checked
-// over its dirty sets only, and reports exactly what Audit would. A nil src
-// is the constructor state, which is sound, so a level whose origin is nil
-// is checked over its dirty sets too. A level with another origin is
-// checked whole. The inclusivity check always stays whole: an LLC eviction
-// in a dirty set can strand a line that a clean L1 set holds. On a booted
-// level the clean sets hold no valid lines, so the walk is short.
+// over its dirty sets only, and reports exactly what a whole audit would.
+// The caller vouches for src (sim.Machine.Audit passes its origin only
+// while the machine tracks it and the origin's last audit found nothing).
+// A nil src is the constructor state, which is sound, so a level whose
+// origin is nil is checked over its dirty sets too. A level with another
+// origin is checked whole. The inclusivity check always stays whole: an
+// LLC eviction in a dirty set can strand a line that a clean L1 set holds.
+// On a booted level the clean sets hold no valid lines, so the walk is
+// short.
 func (h *Hierarchy) AuditFrom(src *Hierarchy) []error {
 	from := src.levels()
 	var errs []error

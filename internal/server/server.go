@@ -585,15 +585,37 @@ func (s *Server) persistResult(ctx context.Context, key string, body []byte) boo
 	return true
 }
 
-// executeLocal runs the sweep in-process with a fingerprint-keyed
-// checkpoint and removes the now-redundant checkpoint on success. Resume is
-// always on: if a previous run of this campaign was interrupted (crash,
-// drain, client cancel), its completed points are loaded instead of
-// re-simulated, and the final bytes equal an uninterrupted run's. It is
+// executeLocal runs the sweep in-process (runSweep) under the server's
+// runner options, with a fingerprint-keyed checkpoint in the server's
+// checkpoint directory and progress events per completed point. It is
 // both the non-cluster execution path and the cluster's degrade-to-local
 // fallback.
 func (s *Server) executeLocal(ctx context.Context, key string, spec CampaignSpec) ([]byte, afterimage.SweepResult, []afterimage.PhaseSummary, error) {
 	total := len(spec.Intensities)
+	return runSweep(ctx, spec, runner.Options{
+		Workers:        s.cfg.PointWorkers,
+		Metrics:        s.reg,
+		Logger:         s.log,
+		CheckpointPath: s.checkpointPath(key),
+		FS:             s.fs,
+		OnCheckpoint: func(completed int) {
+			s.progress.publish(ProgressEvent{Type: "point", Key: key, Completed: completed, Total: total})
+			if s.testPointDone != nil {
+				s.testPointDone(key, completed)
+			}
+		},
+	})
+}
+
+// runSweep runs spec's sweep in-process under ropts with resume always on:
+// if a previous run of this campaign was interrupted (crash, drain, client
+// cancel, a coordinator that hung up), the completed points in ropts'
+// checkpoint are loaded instead of re-simulated, and the final bytes equal
+// an uninterrupted run's. Once the result is encoded, which supersedes the
+// checkpoint, the checkpoint is removed through ropts.FS (which must be
+// set), best-effort. The coordinator's local path and the worker both run
+// campaigns through it, so their bytes are identical.
+func runSweep(ctx context.Context, spec CampaignSpec, ropts runner.Options) ([]byte, afterimage.SweepResult, []afterimage.PhaseSummary, error) {
 	lab, err := afterimage.NewLabE(spec.labOptions())
 	if err != nil {
 		return nil, afterimage.SweepResult{}, nil, err
@@ -603,21 +625,8 @@ func (s *Server) executeLocal(ctx context.Context, key string, spec CampaignSpec
 	// watchdog with it (Lab.ArmCancel), so cancellation and deadlines
 	// surface as typed FaultBudget faults at the next simulated operation.
 	so := spec.sweepOptions()
-	ckpt := s.checkpointPath(key)
-	so.Runner = runner.Options{
-		Workers:        s.cfg.PointWorkers,
-		Metrics:        s.reg,
-		Logger:         s.log,
-		CheckpointPath: ckpt,
-		FS:             s.fs,
-		Resume:         true,
-		OnCheckpoint: func(completed int) {
-			s.progress.publish(ProgressEvent{Type: "point", Key: key, Completed: completed, Total: total})
-			if s.testPointDone != nil {
-				s.testPointDone(key, completed)
-			}
-		},
-	}
+	ropts.Resume = true
+	so.Runner = ropts
 	res, err := lab.RunFaultSweepCtx(ctx, so)
 	if err != nil {
 		return nil, afterimage.SweepResult{}, nil, err
@@ -626,7 +635,7 @@ func (s *Server) executeLocal(ctx context.Context, key string, spec CampaignSpec
 	if err != nil {
 		return nil, afterimage.SweepResult{}, nil, fmt.Errorf("encode result: %w", err)
 	}
-	s.fs.Remove(ckpt) // the stored result supersedes it; best-effort
+	ropts.FS.Remove(ropts.CheckpointPath)
 	return body, res, lab.PhaseSummaries(), nil
 }
 

@@ -228,6 +228,42 @@ func TestSubmitThenCacheHit(t *testing.T) {
 	}
 }
 
+// TestMaxCyclesDegradesOverBudgetPoint: a spec's max_cycles arms every
+// point lab's cycle-budget watchdog, so a budget only the high-intensity
+// point overruns degrades that point, after its retries, with fault_kind
+// cycle-budget, and leaves the clean point whole.
+func TestMaxCyclesDegradesOverBudgetPoint(t *testing.T) {
+	e := newEnv(t, nil)
+	spec := tinySpec(5)
+	// Intensity 0 needs about 89k cycles; intensity 16 needs 143k to 193k
+	// on each of its three salted attempts.
+	spec.Intensities = []float64{0, 16}
+	spec.MaxCycles = 120_000
+	res, err := e.cl.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var curve struct {
+		Points []struct {
+			Err       string `json:"err"`
+			FaultKind string `json:"fault_kind"`
+			Degraded  bool   `json:"degraded"`
+		} `json:"points"`
+	}
+	if err := json.Unmarshal(res.Body, &curve); err != nil {
+		t.Fatal(err)
+	}
+	if len(curve.Points) != 2 {
+		t.Fatalf("got %d points, want 2: %s", len(curve.Points), res.Body)
+	}
+	if clean := curve.Points[0]; clean.Degraded || clean.Err != "" {
+		t.Errorf("clean point degraded: %+v", clean)
+	}
+	if stormy := curve.Points[1]; !stormy.Degraded || stormy.FaultKind != "cycle-budget" {
+		t.Errorf("over-budget point %+v, want degraded with fault kind cycle-budget", stormy)
+	}
+}
+
 // TestSingleFlightDedup: N concurrent identical submissions collapse onto
 // one execution; everyone receives byte-identical results.
 func TestSingleFlightDedup(t *testing.T) {

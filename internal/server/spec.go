@@ -150,11 +150,13 @@ func (sp CampaignSpec) Key() string {
 	return store.Key(raw)
 }
 
-// labOptions derives the per-campaign lab configuration.
+// labOptions derives the per-campaign lab configuration, whose MaxCycles
+// is every point's cycle-budget watchdog.
 func (sp CampaignSpec) labOptions() afterimage.Options {
 	return afterimage.Options{
-		Model: specModels[sp.Model],
-		Seed:  sp.Seed,
+		Model:     specModels[sp.Model],
+		Seed:      sp.Seed,
+		MaxCycles: sp.MaxCycles,
 	}
 }
 
@@ -165,6 +167,5 @@ func (sp CampaignSpec) sweepOptions() afterimage.SweepOptions {
 		Attack:      specAttacks[sp.Attack],
 		Bits:        sp.Bits,
 		Intensities: sp.Intensities,
-		MaxCycles:   sp.MaxCycles,
 	}
 }

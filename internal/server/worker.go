@@ -13,11 +13,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"afterimage"
 	"afterimage/internal/cluster"
 	"afterimage/internal/obslog"
 	"afterimage/internal/runner"
 	"afterimage/internal/telemetry"
+	"afterimage/internal/vfs"
 )
 
 // WorkerConfig assembles a Worker.
@@ -44,8 +44,9 @@ type WorkerConfig struct {
 }
 
 // Worker is the lab-pool execution node: the same campaign validation and
-// supervised runner job unit as the coordinator's local path, behind the
-// cluster wire protocol (POST /v1/execute, GET /healthz). Campaigns are pure
+// campaign runner (runSweep, with a resume-always checkpoint per campaign
+// under CheckpointDir) as the coordinator's local path, behind the cluster
+// wire protocol (POST /v1/execute, GET /healthz). Campaigns are pure
 // functions of their specs, so the bytes a worker returns are identical to
 // what any sibling — or the coordinator running locally — would produce.
 type Worker struct {
@@ -180,7 +181,13 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)
 	wlog.Info("worker job started", "key", key, "worker", w.cfg.ID)
-	body, err := w.runJob(ctx, key, spec)
+	body, _, _, err := runSweep(ctx, spec, runner.Options{
+		Workers:        w.cfg.PointWorkers,
+		Metrics:        w.reg,
+		Logger:         w.log,
+		CheckpointPath: filepath.Join(w.cfg.CheckpointDir, key+".ckpt"),
+		FS:             vfs.OS(),
+	})
 	if err != nil {
 		w.failed.Inc()
 		status := http.StatusInternalServerError
@@ -199,35 +206,6 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set(cluster.HeaderJobKey, key)
 	rw.WriteHeader(http.StatusOK)
 	rw.Write(body)
-}
-
-// runJob executes one campaign under the request context with resume-always
-// checkpointing — the worker-side twin of the coordinator's local path,
-// producing byte-identical results.
-func (w *Worker) runJob(ctx context.Context, key string, spec CampaignSpec) ([]byte, error) {
-	lab, err := afterimage.NewLabE(spec.labOptions())
-	if err != nil {
-		return nil, err
-	}
-	so := spec.sweepOptions()
-	ckpt := filepath.Join(w.cfg.CheckpointDir, key+".ckpt")
-	so.Runner = runner.Options{
-		Workers:        w.cfg.PointWorkers,
-		Metrics:        w.reg,
-		Logger:         w.log,
-		CheckpointPath: ckpt,
-		Resume:         true,
-	}
-	res, err := lab.RunFaultSweepCtx(ctx, so)
-	if err != nil {
-		return nil, err
-	}
-	body, err := res.JSON()
-	if err != nil {
-		return nil, fmt.Errorf("encode result: %w", err)
-	}
-	os.Remove(ckpt) // the delivered result supersedes it; best-effort
-	return body, nil
 }
 
 // handleHealthz answers heartbeat probes: 200 while accepting jobs, 503 once

@@ -29,11 +29,11 @@ func violationf(component, format string, args ...interface{}) Violation {
 // then coherence with the page tables), sched, mem.spaces. Each checker is
 // read-only. With from set, the cache levels are checked over the sets
 // dirtied since the machine was forked or reset from from (see
-// cache.Hierarchy.AuditFrom); without it, a booted or rebooted level is
-// checked over its dirty sets and any other level whole (see
-// cache.Hierarchy.Audit). ASIDs print normalized, as the state hash
-// folds them, so messages do not depend on how many address spaces the
-// process created before.
+// cache.Hierarchy.AuditFrom); without it, a booted level is checked over
+// its dirty sets and any other level whole (see cache.Hierarchy.Audit).
+// Audit decides which. ASIDs print normalized, as the state hash folds
+// them, so messages do not depend on how many address spaces the process
+// created before.
 func (m *Machine) violations(from *Machine) []Violation {
 	vs := asViolations("prefetcher.ipstride", m.Pref.Audit())
 	if from != nil {
@@ -136,33 +136,42 @@ func (m *Machine) auditScheduler() []Violation {
 	return vs
 }
 
-// Audit runs every structural checker over the machine's state; on a
-// booted or rebooted machine, whose cache sets differ from the constructor
-// state only where dirtied, the cache levels are checked over their dirty
-// sets, which reports exactly what checking every set would.
-// It returns nil when the state is structurally sound, or a FaultCorruption
+// Audit runs every structural checker over the machine's state. It
+// returns nil when the state is structurally sound, or a FaultCorruption
 // *SimFault whose message lists every violation. The check is read-only:
 // the clock does not advance and no RNG is drawn, so auditing never changes
 // simulated outcomes.
-func (m *Machine) Audit() error { return m.audit(nil) }
+//
+// Audit works out for itself which cache sets it must check. It checks the
+// cache levels over their dirty sets, which reports exactly what checking
+// every set would, in two cases: the machine is booted, so its clean sets
+// hold the constructor state, or it tracks its origin (see tracks), so its
+// clean sets still equal the origin's, and the origin's last audit found
+// nothing at the origin's current clock. Otherwise it checks every set.
+// The audit stamp rests on the rule tracks rests on: every write to a
+// machine's caches advances its clock, and every boot or copy rebuilds the
+// machine, which clears the stamp. The other checkers, and the cache
+// inclusivity walk, run whole either way.
+func (m *Machine) Audit() error { return m.audit(m.auditScope()) }
 
-// AuditFrom is Audit for a machine forked or reset from t, where t audited
-// clean: while t has not changed since (the guard ResetFrom applies), the
-// cache sets the machine did not dirty still equal t's, so the three cache
-// levels are checked over their dirty sets only and the result is exactly
-// Audit's. Otherwise, and for a nil t, AuditFrom runs Audit. Every other
-// checker, and the cache inclusivity check, runs whole either way.
-func (m *Machine) AuditFrom(t *Machine) error {
-	if !m.tracks(t) {
-		t = nil
+// auditScope returns the origin whose clean cache sets m's audit may skip:
+// m's origin when m tracks it and the origin's last audit found nothing at
+// the origin's current clock, else nil.
+func (m *Machine) auditScope() *Machine {
+	o := m.origin
+	if m.tracks(o) && o.auditClean && o.auditClock == o.clock {
+		return o
 	}
-	return m.audit(t)
+	return nil
 }
 
-// audit is the body of Audit and AuditFrom.
+// audit is Audit over the scope from (see violations), and stamps the
+// machine with the result. audit(nil) on a copied machine is the whole
+// audit the tests compare Audit against.
 func (m *Machine) audit(from *Machine) error {
 	m.auditRuns++
 	vs := m.violations(from)
+	m.auditClean, m.auditClock = len(vs) == 0, m.clock
 	if len(vs) == 0 {
 		m.lastViolations = nil
 		return nil

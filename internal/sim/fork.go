@@ -33,8 +33,9 @@ import (
 // driver on whichever machine it runs.
 //
 // Fork and ResetFrom are the only ways machine state is copied, and they
-// share one body. Fork refuses while the scheduler is mid-run: parked task
-// goroutines hold uncopyable state.
+// share one body; ResetFrom(nil) shares NewMachineChecked's instead. Fork
+// refuses while the scheduler is mid-run: parked task goroutines hold
+// uncopyable state.
 func (m *Machine) Fork() (*Machine, error) {
 	if m.sched.running {
 		return nil, &SimFault{
@@ -58,13 +59,26 @@ func (m *Machine) Fork() (*Machine, error) {
 // as Fork builds it. Sweeps use it to recycle one point machine per worker
 // instead of forking the template for every point attempt.
 //
-// It refuses while either machine's scheduler is mid-run, and on t == m.
+// A nil t is the constructor state: ResetFrom(nil) leaves the receiver
+// state-identical to NewMachine(m.Cfg). A level whose origin is nil clears
+// just the sets it dirtied since, any other level every set
+// (cache.Hierarchy.ResetFrom(nil)); the TLB and the jitter and noise RNGs
+// are cleared and reseeded in place, and the rest is rebuilt by the body
+// NewMachineChecked runs. Sweeps without a warmup recycle point machines
+// this way.
+//
+// Machines forked or reset from the receiver see it as changed. It refuses
+// while either machine's scheduler is mid-run, and on t == m.
 func (m *Machine) ResetFrom(t *Machine) error {
-	if m.sched.running || t.sched.running || m == t {
+	if m.sched.running || (t != nil && t.sched.running) || m == t {
 		return &SimFault{
 			Kind: FaultAPIMisuse, Domain: DomainUser, Cycle: m.clock,
 			Msg: "ResetFrom during an active scheduler run or onto itself",
 		}
+	}
+	if t == nil {
+		m.Mem.ResetFrom(nil)
+		return m.boot(m.Cfg, m.Mem)
 	}
 	h := m.Mem
 	if m.tracks(t) {
@@ -78,7 +92,8 @@ func (m *Machine) ResetFrom(t *Machine) error {
 // tracks reports whether t is the machine m was last forked or reset from
 // and t has not changed since: its clock has not moved and it has not been
 // reset itself. Every operation that writes t's caches advances t's clock,
-// so while this holds, the cache sets m did not dirty still equal t's.
+// and every boot or copy bumps t's copies, so while this holds, the cache
+// sets m did not dirty still equal t's.
 func (m *Machine) tracks(t *Machine) bool {
 	return t != nil && m.origin == t && m.originClock == t.clock && m.originCopies == t.copies
 }

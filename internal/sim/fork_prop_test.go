@@ -26,10 +26,11 @@ import (
 //     shares no code with the fork it checks.
 //
 // The same programs then run one after another on one pooled machine,
-// reset from the parent before each, and on one machine rebooted before
-// each. A violation is shrunk with delta debugging (chunk removal down to
-// single ops, in every program) and written under testdata/ for replay;
-// stored counterexamples run first as regressions.
+// reset from the parent before each, and on one machine reset to the
+// constructor state (rebooted) before each. A violation is shrunk with
+// delta debugging (chunk removal down to single ops, in every program) and
+// written under testdata/ for replay; stored counterexamples run first as
+// regressions.
 
 // forkOp is one operation of a property program, JSON-encodable so shrunk
 // counterexamples can be stored and replayed.
@@ -235,7 +236,12 @@ func runForkIsolation(seed int64, programs []forkProgram) (int, string) {
 	// Pooled arm: one machine runs every program in turn, reset from the
 	// parent before each — the way a sweep recycles its point machines. It
 	// starts as an unrelated machine, so the first reset copies whole and
-	// the rest copy only the cache sets the previous program dirtied.
+	// the rest copy only the cache sets the previous program dirtied. The
+	// parent audits clean first, as a sweep's template does, so each final
+	// Audit checks only the cache sets the program dirtied.
+	if err := parent.m.Audit(); err != nil {
+		return 0, "parent failed its audit: " + err.Error()
+	}
 	pooled := newForkRig(seed + 1000).m
 	for i, prog := range programs {
 		if err := pooled.ResetFrom(parent.m); err != nil {
@@ -251,20 +257,21 @@ func runForkIsolation(seed int64, programs []forkProgram) (int, string) {
 		if got := pooled.StateHash(); got != want[i] {
 			return i, fmt.Sprintf("pooled machine on program %d hash %#016x, solo fresh run %#016x", i, got, want[i])
 		}
-		if err := pooled.AuditFrom(parent.m); err != nil {
+		if err := pooled.Audit(); err != nil {
 			return i, fmt.Sprintf("pooled machine on program %d failed final audit: %v", i, err)
 		}
 	}
 
-	// Reboot arm: one machine runs every program in turn, rebooted and set
-	// up as a fresh rig before each — the way a sweep without a warmup
-	// recycles its point machines. It starts with the rig's history, so the
-	// first reboot already clears dirty sets. A rebooted machine folds its
-	// clean cache sets as zeros, so its fork, which folds every set, must
-	// hash the same, and its Audit checks only the dirty sets.
+	// Reboot arm: one machine runs every program in turn, reset to the
+	// constructor state and set up as a fresh rig before each — the way a
+	// sweep without a warmup recycles its point machines. It starts with the
+	// rig's history, so the first reboot already clears dirty sets. A
+	// rebooted machine folds its clean cache sets as zeros, so its fork,
+	// which folds every set, must hash the same, and its Audit checks only
+	// the dirty sets.
 	rebooted := newForkRig(seed).m
 	for i, prog := range programs {
-		if err := rebooted.Reboot(); err != nil {
+		if err := rebooted.ResetFrom(nil); err != nil {
 			return i, "reboot refused: " + err.Error()
 		}
 		rr := bootForkRig(rebooted)

@@ -115,6 +115,13 @@ type Machine struct {
 	// for diagnosis after the fault surfaces.
 	lastViolations []Violation
 
+	// auditClean and auditClock stamp the most recent audit: whether it
+	// found nothing, and the clock it ran at. A machine forked or reset
+	// from this one reads the stamp to scope its own audit (see Audit).
+	// Every boot or copy rebuilds the machine, and so clears the stamp.
+	auditClean bool
+	auditClock uint64
+
 	// pendingFault carries an audit fault raised on the scheduler's run-loop
 	// goroutine (inside domainSwitch) to a task goroutine: checkBudget
 	// throws it at the next Env operation, so it routes through the normal
@@ -126,9 +133,9 @@ type Machine struct {
 	syscallCount   uint64
 
 	// origin is the machine this one was last forked or reset from (nil
-	// after a boot), and originClock and originCopies were origin's clock
-	// and copies then. copies counts how often a boot, Fork, ResetFrom or
-	// Reboot wrote this machine, so a reset or rebooted source whose clock
+	// after a boot or a ResetFrom(nil)), and originClock and originCopies
+	// were origin's clock and copies then. copies counts how often a boot,
+	// Fork or ResetFrom wrote this machine, so a reset source whose clock
 	// returns to an earlier value still reads as changed.
 	origin       *Machine
 	originClock  uint64
@@ -172,29 +179,10 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Reboot returns the machine to the state NewMachine(m.Cfg) builds, in
-// place. The cache hierarchy keeps its arrays: a level that has only been
-// booted or rebooted clears just the sets it dirtied since, any other
-// level every set (cache.Hierarchy.ResetFrom(nil)). Everything else is
-// rebuilt by the body NewMachineChecked runs, so the machine's processes,
-// mappings, Envs and harness attachments are gone. Machines forked or
-// reset from this one see it as changed. Sweeps without a warmup use it
-// to recycle one point machine per worker.
-//
-// It refuses while the scheduler is mid-run.
-func (m *Machine) Reboot() error {
-	if m.sched.running {
-		return &SimFault{
-			Kind: FaultAPIMisuse, Domain: DomainUser, Cycle: m.clock,
-			Msg: "Reboot during an active scheduler run",
-		}
-	}
-	m.Mem.ResetFrom(nil)
-	return m.boot(m.Cfg, m.Mem)
-}
-
-// boot is the body of NewMachineChecked and Reboot: it overwrites m with a
-// machine built from cfg around h, a hierarchy in its constructor state.
+// boot is the body of NewMachineChecked and ResetFrom(nil): it overwrites m
+// with a machine built from cfg around h, a hierarchy in its constructor
+// state. A TLB and jitter and noise RNGs that m already holds are returned
+// to their constructor state in place rather than built anew.
 func (m *Machine) boot(cfg Config, h *cache.Hierarchy) error {
 	if err := cfg.IPStride.Validate(); err != nil {
 		return fmt.Errorf("sim: invalid IP-stride config: %w", err)
@@ -206,17 +194,30 @@ func (m *Machine) boot(cfg Config, h *cache.Hierarchy) error {
 		Streamer: prefetcher.NewStreamer(2),
 	}
 	suite.Streamer.Enabled = cfg.StreamerEnabled
+	tl, jitter, jitterSrc, noise, noiseSrc := m.TLB, m.jitter, m.jitterSrc, m.noise, m.noiseSrc
+	if tl == nil {
+		tl = tlb.New(cfg.TLB)
+		jitter, jitterSrc = detrand.New(cfg.Seed + 7)
+		noise, noiseSrc = detrand.New(cfg.Seed + 13)
+	} else {
+		tl.Reset()
+		jitter.Seed(cfg.Seed + 7)
+		noise.Seed(cfg.Seed + 13)
+	}
 	*m = Machine{
 		Cfg:      cfg,
 		Mem:      h,
-		TLB:      tlb.New(cfg.TLB),
+		TLB:      tl,
 		Pref:     suite,
 		Phys:     mem.NewPhysMemory(cfg.PhysMem),
 		syscalls: make(map[int]SyscallHandler),
 		copies:   m.copies + 1,
+
+		jitter:    jitter,
+		jitterSrc: jitterSrc,
+		noise:     noise,
+		noiseSrc:  noiseSrc,
 	}
-	m.jitter, m.jitterSrc = detrand.New(cfg.Seed + 7)
-	m.noise, m.noiseSrc = detrand.New(cfg.Seed + 13)
 	m.budgetLimit = cfg.MaxCycles
 	m.Kernel = &Process{PID: KernelPID, Name: "kernel",
 		AS: mem.NewAddressSpace("kernel", m.Phys, kaslrSeed(cfg))}

@@ -154,9 +154,10 @@ func bootedPoint(m *Machine) {
 }
 
 // BenchmarkMachineReboot measures the per-point reset a sweep without a
-// warmup pays: rebooting a machine after bootedPoint, which clears only
-// the dirtied cache sets and rebuilds the small components. Compare it
-// with BenchmarkMachineResetFrom and BenchmarkNewMachine.
+// warmup pays: ResetFrom(nil) after bootedPoint, which clears only the
+// dirtied cache sets, clears the TLB and reseeds the RNGs in place, and
+// rebuilds the other small components. Compare it with
+// BenchmarkMachineResetFrom and BenchmarkNewMachine.
 func BenchmarkMachineReboot(b *testing.B) {
 	m := NewMachine(Quiet(CoffeeLake(1)))
 	b.ReportAllocs()
@@ -165,7 +166,7 @@ func BenchmarkMachineReboot(b *testing.B) {
 		b.StopTimer()
 		bootedPoint(m)
 		b.StartTimer()
-		if err := m.Reboot(); err != nil {
+		if err := m.ResetFrom(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -201,7 +202,8 @@ func BenchmarkMachineStateHashBooted(b *testing.B) {
 
 // BenchmarkMachineAudit measures the per-point invariant audit of a clean
 // machine: every cache set, the TLB, the prefetchers and the scheduler. It
-// audits a fork, whose cache levels are checked whole.
+// audits a fork of a machine that was never audited, so its cache levels
+// are checked whole.
 func BenchmarkMachineAudit(b *testing.B) {
 	f := warmedMachine(b).MustFork()
 	b.ReportAllocs()
@@ -214,17 +216,20 @@ func BenchmarkMachineAudit(b *testing.B) {
 }
 
 // BenchmarkMachineAuditFrom measures the per-point final audit a sweep
-// pays instead of BenchmarkMachineAudit: after pointWorkload on a machine
-// reset from the template, the cache levels are checked over their dirty
-// sets only; every other checker runs whole.
+// pays instead of BenchmarkMachineAudit: Audit after pointWorkload on a
+// copy of a template that audited clean, which checks the cache levels
+// over their dirty sets only; every other checker runs whole.
 func BenchmarkMachineAuditFrom(b *testing.B) {
 	t, base := pointTemplate(b)
+	if err := t.Audit(); err != nil {
+		b.Fatal(err)
+	}
 	m := t.MustFork()
 	pointWorkload(m, base)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.AuditFrom(t); err != nil {
+		if err := m.Audit(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,9 +251,9 @@ func BenchmarkMachineAuditBooted(b *testing.B) {
 }
 
 // BenchmarkNewMachine measures construction cost. A sweep without a warmup
-// boots one machine per runner worker and reboots it for every later point
-// attempt (BenchmarkMachineReboot); the fresh-boot reference and one-off
-// experiments boot one per point.
+// boots one machine per runner worker and resets it to the constructor
+// state for every later point attempt (BenchmarkMachineReboot); the
+// fresh-boot reference and one-off experiments boot one per point.
 func BenchmarkNewMachine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -7,8 +7,8 @@ import (
 
 // Reset suite: ResetFrom must leave the receiver state-identical to a fork
 // of its source, on the dirty-set path and on both whole-copy fallbacks,
-// Reboot must leave it state-identical to a new machine, and AuditFrom and
-// the dirty-set Audit of a booted machine must report exactly what a full
+// ResetFrom(nil) must leave it state-identical to a new machine, and Audit
+// must scope itself so that its dirty-set audits report exactly what a full
 // audit reports.
 
 // resetProgram runs a fixed, seed-derived program on a machine rebound to
@@ -143,12 +143,13 @@ func TestResetFromRefused(t *testing.T) {
 	}
 }
 
-// TestReboot: Reboot returns a machine to the state NewMachine(m.Cfg)
-// builds, in place, from a booted history and from a forked one. The
-// rebooted machine hashes like a new machine and like its own fork, whose
-// hash folds every cache set, audits clean, and still matches the new
-// machine after both run the same program. A fork taken before the reboot
-// no longer tracks the machine. Reboot refuses mid-run.
+// TestReboot: ResetFrom(nil) returns a machine to the state
+// NewMachine(m.Cfg) builds, in place, from a booted history and from a
+// forked one. The rebooted machine hashes like a new machine and like its
+// own fork, whose hash folds every cache set, audits clean, and still
+// matches the new machine after both run the same program. A fork taken
+// before the reboot no longer tracks the machine. ResetFrom(nil) refuses
+// mid-run.
 func TestReboot(t *testing.T) {
 	const seed = 8
 	booted := newForkRig(seed)
@@ -158,12 +159,12 @@ func TestReboot(t *testing.T) {
 	for name, m := range map[string]*Machine{"booted-history": booted.m, "forked-history": forked} {
 		t.Run(name, func(t *testing.T) {
 			child := m.MustFork()
-			h := m.Mem
-			if err := m.Reboot(); err != nil {
+			h, tl := m.Mem, m.TLB
+			if err := m.ResetFrom(nil); err != nil {
 				t.Fatal(err)
 			}
-			if m.Mem != h {
-				t.Fatal("reboot did not reuse the hierarchy in place")
+			if m.Mem != h || m.TLB != tl {
+				t.Fatal("reboot did not reuse the hierarchy and the TLB in place")
 			}
 			if child.tracks(m) {
 				t.Fatal("a fork taken before the reboot still tracks the machine")
@@ -194,45 +195,78 @@ func TestReboot(t *testing.T) {
 	t.Run("refused-mid-run", func(t *testing.T) {
 		m := NewMachine(Quiet(CoffeeLake(3)))
 		var err error
-		m.Spawn(m.NewProcess("p"), "t", func(e *Env) { err = m.Reboot() })
+		m.Spawn(m.NewProcess("p"), "t", func(e *Env) { err = m.ResetFrom(nil) })
 		m.Run()
 		if f, ok := AsFault(err); !ok || f.Kind != FaultAPIMisuse {
-			t.Fatalf("Reboot inside a scheduler run: %v, want an API-misuse SimFault", err)
+			t.Fatalf("ResetFrom(nil) inside a scheduler run: %v, want an API-misuse SimFault", err)
 		}
 	})
 }
 
-// TestAuditFromMatchesAudit: on a reset machine with each corruption class
-// applied, AuditFrom's dirty-set cache audit reports the same fault text as
-// the full Audit; with the guard broken it is the full Audit. On a booted
-// machine, Audit checks the cache levels over their dirty sets only and
-// reports the same fault text as the full audit of its fork.
+// TestAuditFromMatchesAudit: Audit works out its own scope, and the audit
+// of a machine copied from a template reports exactly what a full audit
+// reports, for every corruption class:
+//   - a machine reset from a template that audited clean checks its cache
+//     levels over their dirty sets and prints the full audit's text;
+//   - once the template runs, the copy's Audit is whole;
+//   - a template that ran, or was reset, after its clean audit gives the
+//     copies made afterwards a whole audit;
+//   - a booted machine checks its cache levels over their dirty sets and
+//     prints what the whole audit of its fork prints, and a copy of a
+//     template whose last audit failed reports the template's corruption.
 func TestAuditFromMatchesAudit(t *testing.T) {
 	for _, tc := range corruptionCases {
 		t.Run(tc.name, func(t *testing.T) {
 			tmpl, env, buf := warmMachine(t)
+			if err := tmpl.Audit(); err != nil {
+				t.Fatalf("clean template fails Audit: %v", err)
+			}
 			m := tmpl.MustFork()
 			if err := m.ResetFrom(tmpl); err != nil {
 				t.Fatal(err)
 			}
-			if err := m.AuditFrom(tmpl); err != nil {
-				t.Fatalf("clean reset machine fails AuditFrom: %v", err)
+			if m.auditScope() != tmpl {
+				t.Fatal("a copy of a template that audited clean audits whole")
+			}
+			if err := m.Audit(); err != nil {
+				t.Fatalf("clean reset machine fails Audit: %v", err)
 			}
 			tc.corrupt(t, m)
-			full, dirty := m.Audit(), m.AuditFrom(tmpl)
-			if full == nil || dirty == nil || full.Error() != dirty.Error() {
-				t.Fatalf("Audit %v\nAuditFrom %v", full, dirty)
+			scoped, full := m.Audit(), m.audit(nil)
+			if scoped == nil || full == nil || scoped.Error() != full.Error() {
+				t.Fatalf("scoped Audit %v\nfull audit %v", scoped, full)
 			}
-			// Running the template breaks the guard: AuditFrom is Audit.
+
+			// Running the template ends the scope: Audit is whole.
 			env.Load(0x40_0100, buf.Base)
-			if got := m.AuditFrom(tmpl); got == nil || got.Error() != full.Error() {
-				t.Fatalf("AuditFrom past the guard %v, want %v", got, full)
+			if m.auditScope() != nil {
+				t.Fatal("a copy still scopes its audit to a template that ran")
+			}
+			if got := m.Audit(); got == nil || got.Error() != full.Error() {
+				t.Fatalf("Audit past the template's run %v, want %v", got, full)
+			}
+			if tmpl.MustFork().auditScope() != nil {
+				t.Fatal("a template that ran after its clean audit scopes its copies' audits")
+			}
+			src := tmpl.MustFork()
+			if err := src.Audit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.ResetFrom(src.MustFork()); err != nil {
+				t.Fatal(err)
+			}
+			if src.MustFork().auditScope() != nil {
+				t.Fatal("a template reset after its clean audit scopes its copies' audits")
 			}
 
 			tc.corrupt(t, tmpl)
-			booted, whole := tmpl.Audit(), tmpl.MustFork().Audit()
-			if booted == nil || whole == nil || booted.Error() != whole.Error() {
-				t.Fatalf("booted machine's Audit %v\nfull audit of its fork %v", booted, whole)
+			booted := tmpl.Audit()
+			c := tmpl.MustFork()
+			if c.auditScope() != nil {
+				t.Fatal("a copy of a template whose audit failed scopes its audit to it")
+			}
+			if whole := c.Audit(); booted == nil || whole == nil || booted.Error() != whole.Error() {
+				t.Fatalf("booted machine's Audit %v\nwhole audit of its fork %v", booted, whole)
 			}
 		})
 	}

@@ -1,10 +1,11 @@
 package tlb
 
-// Fork support: deep-copy the TLB for Machine.Fork. Forked address spaces
-// get fresh ASIDs (the allocator is process-global), so the copied entries
-// must be re-tagged from parent ASIDs to the fork's — otherwise the warmed
-// translations would be invisible to the forked processes and the fork's
-// first loads would take page walks the parent didn't.
+// Fork and reset support: deep-copy the TLB for Machine.Fork, or return it
+// to its constructor state for Machine.ResetFrom(nil). Forked address
+// spaces get fresh ASIDs (the allocator is process-global), so the copied
+// entries must be re-tagged from parent ASIDs to the fork's — otherwise the
+// warmed translations would be invisible to the forked processes and the
+// fork's first loads would take page walks the parent didn't.
 
 // fork deep-copies one translation array, rewriting the ASID of every
 // VALID entry through remap. Invalid slots keep their stale tags verbatim
@@ -49,4 +50,24 @@ func (t *TLB) Fork(remap func(asid uint64) uint64) *TLB {
 		f.stlb = t.stlb.fork(remap)
 	}
 	return f
+}
+
+// Reset returns the TLB to the state New builds from its config, in place:
+// both levels' arrays are cleared, the counters zeroed and the way
+// predictor dropped.
+func (t *TLB) Reset() {
+	t.l1.reset()
+	if t.stlb != nil {
+		t.stlb.reset()
+	}
+	*t = TLB{cfg: t.cfg, l1: t.l1, stlb: t.stlb}
+}
+
+// reset clears every entry, LRU stamp and set clock.
+func (l *level) reset() {
+	clear(l.asids)
+	clear(l.vpns)
+	clear(l.valid)
+	clear(l.stamps)
+	clear(l.clocks)
 }

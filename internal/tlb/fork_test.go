@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"math/rand"
 	"testing"
 
 	"afterimage/internal/mem"
@@ -8,7 +9,7 @@ import (
 
 // Fork regression suite: Fork must remap valid entries through the
 // parent→child ASID table, drop the way-predictor memo, and share nothing
-// mutable with the parent.
+// mutable with the parent; Reset must return a used TLB to New's state.
 
 func TestForkRemapsValidEntries(t *testing.T) {
 	tl := New(DefaultConfig())
@@ -92,5 +93,43 @@ func TestForkPreservesInvalidSlots(t *testing.T) {
 	f := tl.Fork(nil)
 	if got, want := f.StateHash(id), tl.StateHash(id); got != want {
 		t.Fatalf("fork hash %#x, parent %#x (invalid-slot bytes drifted)", got, want)
+	}
+}
+
+// TestResetMatchesNew: after random lookups, warms and a CorruptInsert,
+// Reset leaves the TLB hashing like New(cfg), and the two stay in step,
+// lookup for lookup and hash for hash, under one lookup stream.
+func TestResetMatchesNew(t *testing.T) {
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(3))
+	next := func() (uint64, mem.VAddr) {
+		return uint64(rng.Intn(4)), mem.VAddr(rng.Intn(4096)) * mem.PageSize
+	}
+	tl := New(cfg)
+	for i := 0; i < 4096; i++ {
+		if asid, va := next(); i%7 == 0 {
+			tl.Warm(asid, va)
+		} else {
+			tl.Lookup(asid, va)
+		}
+	}
+	tl.CorruptInsert(99, 0x123)
+	tl.Reset()
+
+	fresh := New(cfg)
+	id := func(a uint64) uint64 { return a }
+	if got, want := tl.StateHash(id), fresh.StateHash(id); got != want {
+		t.Fatalf("reset TLB hash %#x, New %#x", got, want)
+	}
+	for i := 0; i < 4096; i++ {
+		asid, va := next()
+		hit, lat := tl.Lookup(asid, va)
+		wantHit, wantLat := fresh.Lookup(asid, va)
+		if hit != wantHit || lat != wantLat {
+			t.Fatalf("lookup %d: reset TLB (%v, %d), New (%v, %d)", i, hit, lat, wantHit, wantLat)
+		}
+	}
+	if got, want := tl.StateHash(id), fresh.StateHash(id); got != want {
+		t.Fatalf("after one lookup stream: reset TLB hash %#x, New %#x", got, want)
 	}
 }

@@ -19,16 +19,10 @@ type MetricsSnapshot = telemetry.Snapshot
 // 256k events). Until called, tracing costs nothing on the simulation's hot
 // paths. Once the ring fills, the oldest events are overwritten and counted —
 // see TraceDropped.
-func (l *Lab) EnableTrace(capacity int) {
-	l.traceOn, l.traceCap = true, capacity
-	l.m.Telemetry().EnableTrace(capacity)
-}
+func (l *Lab) EnableTrace(capacity int) { l.m.Telemetry().EnableTrace(capacity) }
 
 // DisableTrace stops event recording and discards the retained trace.
-func (l *Lab) DisableTrace() {
-	l.traceOn = false
-	l.m.Telemetry().DisableTrace()
-}
+func (l *Lab) DisableTrace() { l.m.Telemetry().DisableTrace() }
 
 // TraceEnabled reports whether event recording is on.
 func (l *Lab) TraceEnabled() bool { return l.m.Telemetry().TraceEnabled() }

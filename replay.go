@@ -150,6 +150,7 @@ func (l *Lab) ReplayFaultSweep(ctx context.Context, o SweepOptions, path string)
 		Fingerprint: fp,
 		Checkpoint:  path,
 	}
+	boots := &pointLabs{opts: labOpts, warmup: o.Warmup}
 	for i, intensity := range o.Intensities {
 		if err := ctx.Err(); err != nil {
 			return rep, err
@@ -172,10 +173,10 @@ func (l *Lab) ReplayFaultSweep(ctx context.Context, o SweepOptions, path string)
 			rep.addSkip(key, "no recorded state hash (checkpoint predates auditing)")
 			continue
 		}
-		// Replay always re-executes from a fresh boot (nil template): a
+		// Replay always re-executes from a fresh boot (no template): a
 		// campaign recorded under forked execution must hash-match a fresh
 		// re-run, so every replay doubles as a fork-vs-fresh identity check.
-		fresh, _, rerr := runSweepPoint(ctx, nil, labOpts, o, intensity, 0, false, 0)
+		fresh, rerr := runSweepPoint(ctx, boots.get(), o, intensity, 0)
 		note := ""
 		if rerr != nil {
 			note = "replay faulted: " + rerr.Error()

@@ -3,7 +3,10 @@ package afterimage
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"afterimage/internal/faults"
@@ -117,14 +120,14 @@ func TestSweepDegradedPointCompletes(t *testing.T) {
 		Bits:        12,
 		Intensities: []float64{0, 6},
 		Faults:      faults.Config{EventsPerMCycle: 200},
-		// Intensity 0 needs ~258k cycles, intensity 6 ~929k (fault stalls):
-		// 500k passes the clean point and kills the stormy one.
-		MaxCycles: 500_000,
 		Runner: runner.Options{
 			Classify: func(error) runner.Class { return runner.ClassPermanent },
 		},
 	}
-	res, err := NewLab(Options{Seed: 42}).RunFaultSweepCtx(context.Background(), o)
+	// Intensity 0 needs ~258k cycles, intensity 6 ~929k (fault stalls): a
+	// 500k budget on every point lab passes the clean point and kills the
+	// stormy one.
+	res, err := NewLab(Options{Seed: 42, MaxCycles: 500_000}).RunFaultSweepCtx(context.Background(), o)
 	if err != nil {
 		t.Fatalf("campaign aborted instead of degrading: %v", err)
 	}
@@ -150,55 +153,99 @@ func TestSweepDegradedPointCompletes(t *testing.T) {
 }
 
 // TestSweepPropagatesTelemetry: the parent lab's tracing and metrics reach
-// the per-point labs — phase summaries absorbed in point order, child event
-// traces appended to the parent ring, runner counters on the parent
-// registry. Before the fix the per-point labs silently dropped all of it.
+// the pooled point labs on two workers, for a campaign without a warmup and
+// a warm one — phase summaries absorbed in point order, point event traces
+// appended to the parent ring in point order (the same trace one worker
+// absorbs), runner counters on the parent registry. Tracing changes no
+// result byte but the phases' event counts, which only a traced lab
+// counts, and the traced campaign's bytes equal its fresh reference's.
 func TestSweepPropagatesTelemetry(t *testing.T) {
-	lab := NewLab(Options{Seed: 5})
-	lab.EnableTrace(0)
-	o := smallSweep()
-	o.Intensities = []float64{0, 1}
-	res, err := lab.RunFaultSweepCtx(context.Background(), o)
-	if err != nil {
-		t.Fatalf("sweep: %v", err)
-	}
-	for i, p := range res.Points {
-		if len(p.Phases) == 0 {
-			t.Errorf("point %d carries no phase summaries", i)
-		}
-	}
-	phases := lab.PhaseSummaries()
-	if len(phases) == 0 {
-		t.Fatal("parent lab absorbed no phase summaries")
-	}
-	var spans int
-	for _, p := range phases {
-		spans += p.Spans
-	}
-	var want int
-	for _, p := range res.Points {
-		for _, ph := range p.Phases {
-			want += ph.Spans
-		}
-	}
-	if spans != want {
-		t.Errorf("parent phase spans %d, points carry %d", spans, want)
-	}
-	events := lab.Machine().Telemetry().Events()
-	if len(events) == 0 {
-		t.Fatal("parent trace absorbed no child events")
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].Cycle < events[i-1].Cycle {
-			t.Fatalf("absorbed trace not monotonic at %d: %d < %d", i, events[i].Cycle, events[i-1].Cycle)
-		}
-	}
-	snap := lab.MetricsSnapshot()
-	if n, _ := snap.Get("runner.jobs.started"); n != uint64(len(o.Intensities)) {
-		t.Errorf("runner.jobs.started = %d, want %d", n, len(o.Intensities))
-	}
-	if n, _ := snap.Get("runner.jobs.completed"); n != uint64(len(o.Intensities)) {
-		t.Errorf("runner.jobs.completed = %d, want %d", n, len(o.Intensities))
+	for _, warmup := range []int{0, 2000} {
+		t.Run(fmt.Sprintf("warmup=%d", warmup), func(t *testing.T) {
+			o := smallSweep()
+			o.Intensities = []float64{0, 1}
+			o.Warmup = warmup
+			run := func(workers int, trace, fresh bool) (*Lab, SweepResult) {
+				t.Helper()
+				lab := NewLab(Options{Seed: 5})
+				if trace {
+					lab.EnableTrace(0)
+				}
+				o.Runner.Workers = workers
+				res, err := lab.runFaultSweep(context.Background(), o, fresh)
+				if err != nil {
+					t.Fatalf("sweep: %v", err)
+				}
+				for i, p := range res.Points {
+					if len(p.Phases) == 0 {
+						t.Errorf("point %d carries no phase summaries", i)
+					}
+				}
+				return lab, res
+			}
+			bytesOf := func(res SweepResult) []byte {
+				t.Helper()
+				raw, err := res.JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return raw
+			}
+			lab, res := run(2, true, false)
+			traced := bytesOf(res)
+			if _, fresh := run(2, true, true); !bytes.Equal(traced, bytesOf(fresh)) {
+				t.Errorf("traced campaign and its fresh reference differ:\npooled: %s\nfresh:  %s", traced, bytesOf(fresh))
+			}
+			_, untraced := run(2, false, false)
+			var counted SweepResult
+			if err := json.Unmarshal(traced, &counted); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range counted.Points {
+				for k := range p.Phases {
+					p.Phases[k].Events = 0
+				}
+			}
+			if got, want := bytesOf(counted), bytesOf(untraced); !bytes.Equal(got, want) {
+				t.Errorf("tracing changed more than the phases' event counts:\ntraced:   %s\nuntraced: %s", got, want)
+			}
+			phases := lab.PhaseSummaries()
+			if len(phases) == 0 {
+				t.Fatal("parent lab absorbed no phase summaries")
+			}
+			var spans int
+			for _, p := range phases {
+				spans += p.Spans
+			}
+			var want int
+			for _, p := range res.Points {
+				for _, ph := range p.Phases {
+					want += ph.Spans
+				}
+			}
+			if spans != want {
+				t.Errorf("parent phase spans %d, points carry %d", spans, want)
+			}
+			events := lab.Machine().Telemetry().Events()
+			if len(events) == 0 {
+				t.Fatal("parent trace absorbed no child events")
+			}
+			for i := 1; i < len(events); i++ {
+				if events[i].Cycle < events[i-1].Cycle {
+					t.Fatalf("absorbed trace not monotonic at %d: %d < %d", i, events[i].Cycle, events[i-1].Cycle)
+				}
+			}
+			if seq, _ := run(1, true, false); !slices.Equal(events, seq.Machine().Telemetry().Events()) {
+				t.Error("two workers absorbed a different trace than one")
+			}
+			snap := lab.MetricsSnapshot()
+			if n, _ := snap.Get("runner.jobs.started"); n != uint64(len(o.Intensities)) {
+				t.Errorf("runner.jobs.started = %d, want %d", n, len(o.Intensities))
+			}
+			if n, _ := snap.Get("runner.jobs.completed"); n != uint64(len(o.Intensities)) {
+				t.Errorf("runner.jobs.completed = %d, want %d", n, len(o.Intensities))
+			}
+		})
 	}
 }
 
@@ -213,5 +260,18 @@ func TestSweepCanceledReturnsPrefix(t *testing.T) {
 	}
 	if len(res.Points) != 0 {
 		t.Fatalf("canceled-before-start campaign produced %d points", len(res.Points))
+	}
+}
+
+// TestSweepFingerprintPinned: a sweep's fingerprint, which every resume
+// checks against its checkpoint, hashes the derived lab options, so the
+// per-point cycle budget reaches it as the lab's MaxCycles. A change to
+// the constant makes every recorded checkpoint of such a campaign refuse
+// to resume.
+func TestSweepFingerprintPinned(t *testing.T) {
+	lab := NewLab(Options{Seed: 5, MaxCycles: 1_000_000})
+	o, labOpts := lab.sweepNormalize(SweepOptions{Attack: SweepV2Kernel, Bits: 8})
+	if got, want := sweepFingerprint(labOpts, o), "b3f56e97ffe53bcc"; got != want {
+		t.Fatalf("sweep fingerprint %s, want %s", got, want)
 	}
 }

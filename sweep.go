@@ -69,9 +69,6 @@ type SweepOptions struct {
 	// taken from it, Intensity is overridden per point. A zero Seed derives
 	// one from the lab seed.
 	Faults faults.Config
-	// MaxCycles arms the per-point watchdog so a pathological point cannot
-	// hang the sweep; 0 leaves it off.
-	MaxCycles uint64
 	// Runner supervises the per-point jobs: worker count, retry budget and
 	// backoff, checkpoint/resume, per-job wall deadline. The zero value runs
 	// the points sequentially with the default retry policy and no
@@ -87,8 +84,8 @@ type SweepOptions struct {
 	// runs the trace ONCE and each point copies the warmed state, so the
 	// trace is paid once per campaign instead of once per point; the fault
 	// engine only arms after the warmup, so the prefix is genuinely shared.
-	// Default 0: no template, and each point runs on a booted or rebooted
-	// lab.
+	// Default 0: no template, and each point runs on a booted lab or one
+	// reset to the constructor state.
 	Warmup int
 }
 
@@ -124,10 +121,10 @@ type SweepPoint struct {
 	Degraded bool `json:"degraded,omitempty"`
 	// Quarantined marks a point on which a corruption fault fired: the
 	// auditor caught an invariant violation, the point was re-run on a lab
-	// reset to the campaign template (state-identical to a fresh fork) or,
-	// without a warmup, on a rebooted lab (state-identical to a fresh boot),
-	// and its final outcome — successful retry or degraded — must be read
-	// with that history in mind.
+	// reset to the campaign's start (state-identical to a fresh fork of the
+	// template or, without a warmup, to a fresh boot), and its final
+	// outcome — successful retry or degraded — must be read with that
+	// history in mind.
 	Quarantined bool `json:"quarantined,omitempty"`
 	// StateHash is the machine's full-state digest at the end of the
 	// point's run (fresh runs only; resumed points keep the hash their
@@ -158,13 +155,14 @@ func (r SweepResult) JSON() ([]byte, error) {
 // from this lab's options (with the FullReport-aligned seed offset),
 // installs a deterministic fault engine, runs the attack through its
 // error-hardened variant, and records accuracy, confidence and applied
-// perturbations. The campaign keeps one point lab per runner worker. With
-// a warmup, each point lab is a copy of one warmed campaign template, reset
-// from it between attempts by copying back only the cache sets the
-// previous attempt dirtied; a reset lab is state-identical to a fresh fork.
-// Without one there is no template: each point lab is booted once and
-// rebooted between attempts by clearing only the cache sets the previous
-// attempt dirtied; a rebooted lab is state-identical to a fresh boot. The
+// perturbations. The campaign keeps one point lab per runner worker and
+// resets it to the campaign's start between attempts, by copying back or
+// clearing only the cache sets the previous attempt dirtied. With a
+// warmup, the start is one warmed campaign template, and a reset lab is
+// state-identical to a fresh fork of it; without one there is no template,
+// and a reset lab is state-identical to a fresh boot. A traced lab traces
+// every point lab with its own ring capacity and absorbs their events in
+// point order; tracing changes no result but the phases' event counts. The
 // whole curve is a pure function of the options and the lab seed —
 // rerunning with the same seed reproduces it point for point, regardless
 // of worker count or checkpoint resume.
@@ -185,9 +183,10 @@ func (l *Lab) RunFaultSweepCtx(ctx context.Context, o SweepOptions) (SweepResult
 }
 
 // runFaultSweep is RunFaultSweepCtx with fresh set to boot and warm every
-// point attempt from scratch instead of recycling point labs. The two are
-// bit-identical point for point and share one fingerprint; the fresh boot is
-// the reference the fork-vs-fresh differential tests and BenchmarkSweepFresh
+// point attempt from scratch, from a pointLabs with no pool and no
+// template, instead of recycling point labs. The two are bit-identical
+// point for point and share one fingerprint; the fresh boot is the
+// reference the fork-vs-fresh differential tests and BenchmarkSweepFresh
 // compare the pooled campaign against.
 func (l *Lab) runFaultSweep(ctx context.Context, o SweepOptions, fresh bool) (SweepResult, error) {
 	if err := o.Validate(); err != nil {
@@ -199,42 +198,40 @@ func (l *Lab) runFaultSweep(ctx context.Context, o SweepOptions, fresh bool) (Sw
 	// lab per configuration, audited once, and copied for every point
 	// attempt. The template is never run, so concurrent copies from
 	// parallel workers are concurrent reads. Without a warmup there is no
-	// prefix to share, and point labs are booted instead.
-	var labs *pointLabs
+	// prefix to share, and point labs are booted instead. One idle lab per
+	// runner worker: at most that many attempts run at once, so a larger
+	// pool would only hold memory.
+	labs := &pointLabs{opts: labOpts, warmup: o.Warmup}
 	if !fresh {
-		labs = &pointLabs{opts: labOpts}
 		if o.Warmup > 0 {
-			tmpl := NewLab(labOpts)
-			tmpl.runSweepWarmup(o.Warmup)
-			labs.tmpl = tmpl
-			if tmpl.m.Audit() == nil {
-				labs.auditFrom = tmpl.m
-			}
+			labs.tmpl = labs.get()
+			labs.tmpl.m.Audit() // stamps the result, which scopes every point's audit
 		}
-		if !l.traceOn {
-			// One idle lab per runner worker: at most that many attempts
-			// run at once, so a larger pool would only hold memory.
-			labs.pool = make(chan *Lab, max(1, o.Runner.Workers))
-		}
+		labs.pool = make(chan *Lab, max(1, o.Runner.Workers))
 	}
 
-	// childLabs retains each point's lab (traced runs only) so the parent
-	// can absorb its event trace after the pool drains; distinct indices
-	// make the writes race-free under parallel workers. A traced campaign
-	// keeps no pool, so every attempt gets a lab of its own.
-	childLabs := make([]*Lab, len(o.Intensities))
+	// A traced campaign traces every point attempt with the parent's ring
+	// capacity and keeps each point's last trace until assembly absorbs it
+	// in point order; distinct indices make the writes race-free under
+	// parallel workers.
+	traceCap := 0
+	if b := l.m.Telemetry().Bus(); b != nil {
+		traceCap = b.Cap()
+	}
+	events := make([][]telemetry.Event, len(o.Intensities))
 	jobs := make([]runner.Job, len(o.Intensities))
 	for i, intensity := range o.Intensities {
 		i, intensity := i, intensity
 		jobs[i] = runner.Job{
 			Key: sweepPointKey(o.Attack, i, intensity),
 			Run: func(jctx context.Context, attempt int) (any, error) {
-				pt, lab, err := runSweepPoint(jctx, labs, labOpts, o, intensity, attempt, l.traceOn, l.traceCap)
-				if l.traceOn {
-					childLabs[i] = lab
-				} else {
-					labs.put(lab)
+				lab := labs.get()
+				if traceCap > 0 {
+					lab.EnableTrace(traceCap)
 				}
+				pt, err := runSweepPoint(jctx, lab, o, intensity, attempt)
+				events[i] = lab.m.Telemetry().Events() // nil unless traced
+				labs.put(lab)
 				return pt, err
 			},
 		}
@@ -278,17 +275,16 @@ func (l *Lab) runFaultSweep(ctx context.Context, o SweepOptions, fresh bool) (Sw
 		// Into the campaign's metrics registry (the server's, when run under
 		// one), so the per-phase breakdown reaches /metrics.
 		observePhaseCycles(ropts.Metrics, pt.Phases)
-		if childLabs[i] != nil {
-			tel.AbsorbEvents(childLabs[i].m.Telemetry().Events())
-		}
+		tel.AbsorbEvents(events[i])
 		res.Points = append(res.Points, pt)
 	}
 	return res, rerr
 }
 
 // sweepNormalize fills the sweep defaults and derives the per-point lab
-// options (FullReport-aligned seed offset, per-point watchdog) — shared by
-// the sweep itself and the replay harness so both derive identical points.
+// options (the FullReport-aligned seed offset; the per-point watchdog is
+// the lab's own MaxCycles) — shared by the sweep itself and the replay
+// harness so both derive identical points.
 func (l *Lab) sweepNormalize(o SweepOptions) (SweepOptions, Options) {
 	if len(o.Intensities) == 0 {
 		o.Intensities = []float64{0, 0.5, 1, 2, 4}
@@ -298,9 +294,6 @@ func (l *Lab) sweepNormalize(o SweepOptions) (SweepOptions, Options) {
 	}
 	labOpts := l.opts
 	labOpts.Seed += o.Attack.seedOffset()
-	if o.MaxCycles != 0 {
-		labOpts.MaxCycles = o.MaxCycles
-	}
 	return o, labOpts
 }
 
@@ -393,85 +386,65 @@ func hasCorruptionHistory(history []string) bool {
 	return false
 }
 
-// pointLabs hands out the labs a campaign's point attempts run on. With a
-// warmup, each is a copy of the warmed template: a pooled lab reset in
-// place from the template when one is free, a fresh fork otherwise, both
-// state-identical to the template. Without one, tmpl is nil and each is a
-// fresh boot: a pooled lab rebooted in place when one is free, NewLab(opts)
-// otherwise, both state-identical to NewLab(opts). A nil pool (traced
-// campaigns) forks or boots every time and keeps nothing.
+// pointLabs hands out the labs a campaign's point attempts run on, each at
+// the campaign's start: a copy of the warmed template when tmpl is set,
+// else a fresh boot that has run the warmup. A pooled lab is reset to that
+// start in place (resetFrom(tmpl), a nil tmpl being the constructor
+// state); without one, get forks the template or boots NewLab(opts) and
+// runs the warmup. A campaign with a warmup pools labs only once it has a
+// template, so a reset never skips the warmup. The template itself, the
+// fresh reference and the replay harness take their labs from a pointLabs
+// with no pool and no template.
 type pointLabs struct {
-	opts Options
-	tmpl *Lab
-	// auditFrom is the template's machine when it audited clean after
-	// warmup, else nil. A point's final AuditFrom(auditFrom) then checks
-	// only the cache sets the point dirtied, or runs Audit, so a corrupt
-	// template still fails every point. Audit itself checks a booted or
-	// rebooted lab's cache levels over their dirty sets only.
-	auditFrom *sim.Machine
-	pool      chan *Lab
+	opts   Options
+	warmup int
+	tmpl   *Lab
+	pool   chan *Lab
 }
 
-// get returns a lab holding a copy of the template, or a fresh boot when
-// there is none.
+// get returns a lab at the campaign's start.
 func (p *pointLabs) get() *Lab {
 	select {
 	case lab := <-p.pool:
-		if p.tmpl == nil {
-			if lab.reboot() == nil {
-				return lab
-			}
-		} else if lab.resetFrom(p.tmpl) == nil {
+		if lab.resetFrom(p.tmpl) == nil {
 			return lab
 		}
 	default:
 	}
-	if p.tmpl == nil {
-		return NewLab(p.opts)
+	if p.tmpl != nil {
+		return p.tmpl.MustFork()
 	}
-	return p.tmpl.MustFork()
+	lab := NewLab(p.opts)
+	lab.runSweepWarmup(p.warmup)
+	return lab
 }
 
 // put offers a finished lab back to the pool. The caller must have read
 // everything it needs from the lab: the next get overwrites it.
 func (p *pointLabs) put(lab *Lab) {
-	if p == nil {
-		return
-	}
 	select {
 	case p.pool <- lab:
 	default:
 	}
 }
 
-// runSweepPoint executes one sweep point attempt in a lab of its own — one
-// from labs when it is set (a copy of the warmed template, or a booted or
-// rebooted lab when the campaign has no warmup), else a fresh boot that
-// replays the warmup (all are bit-identical; replay re-executes points
-// fresh and diffs their hashes against the ones the campaign recorded). It
-// installs the salted fault engine, runs the attack through its
-// error-hardened variant, then audits the final machine state and digests
-// it. A failing final audit turns an otherwise-successful attempt into a
-// corruption fault, so silently corrupted points are retried (quarantined)
-// instead of reported. It returns the lab; the point has been read from it.
-func runSweepPoint(jctx context.Context, labs *pointLabs, labOpts Options, o SweepOptions, intensity float64, attempt int, trace bool, traceCap int) (SweepPoint, *Lab, error) {
-	var lab *Lab
-	if labs != nil {
-		lab = labs.get()
-	} else {
-		lab = NewLab(labOpts)
-		lab.runSweepWarmup(o.Warmup)
-	}
-	if trace {
-		lab.EnableTrace(traceCap)
-	}
+// runSweepPoint executes one sweep point attempt on lab, a lab at the
+// campaign's start (from pointLabs.get; all are bit-identical, and replay
+// re-executes points on fresh boots and diffs their hashes against the
+// ones the campaign recorded). It installs the salted fault engine, runs
+// the attack through its error-hardened variant, then audits the final
+// machine state and digests it. A failing final audit turns an
+// otherwise-successful attempt into a corruption fault, so silently
+// corrupted points are retried (quarantined) instead of reported. The
+// point has been read from lab when it returns.
+func runSweepPoint(jctx context.Context, lab *Lab, o SweepOptions, intensity float64, attempt int) (SweepPoint, error) {
 	lab.ArmCancel(jctx)
 	var eng *faults.Engine
 	if intensity > 0 {
 		fc := o.Faults
 		fc.Intensity = intensity
 		if fc.Seed == 0 {
-			fc.Seed = labOpts.Seed + 811
+			fc.Seed = lab.opts.Seed + 811
 		}
 		// Retries are independent trials of the same intensity:
 		// salt the schedule, keep the lab seed (point identity).
@@ -500,14 +473,11 @@ func runSweepPoint(jctx context.Context, labs *pointLabs, labOpts Options, o Swe
 	}
 	if err == nil {
 		// Final audit: whatever the cadence setting, a point never reports
-		// success over structurally corrupt state. AuditFrom reports
-		// exactly what a full audit would; so does Audit on a lab that was
-		// only booted or rebooted, which visits its dirty sets only.
-		var from *sim.Machine
-		if labs != nil {
-			from = labs.auditFrom
-		}
-		err = lab.m.AuditFrom(from)
+		// success over structurally corrupt state. On a booted lab, and on
+		// a copy of a template that audited clean, Audit checks only the
+		// cache sets the point dirtied, which reports exactly what a full
+		// audit would.
+		err = lab.m.Audit()
 	}
 	if err != nil {
 		pt.Err = err.Error()
@@ -520,5 +490,5 @@ func runSweepPoint(jctx context.Context, labs *pointLabs, labOpts Options, o Swe
 	}
 	pt.StateHash = lab.m.StateHash()
 	pt.Phases = lab.PhaseSummaries()
-	return pt, lab, err
+	return pt, err
 }
