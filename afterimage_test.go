@@ -1,6 +1,12 @@
 package afterimage
 
-import "testing"
+import (
+	"encoding/json"
+	"math/big"
+	"testing"
+
+	"afterimage/internal/rsa"
+)
 
 func TestModelStrings(t *testing.T) {
 	if CoffeeLake.String() == "" || Haswell.String() == "" {
@@ -229,7 +235,7 @@ func TestRSAExtractionSmallKey(t *testing.T) {
 		t.Fatalf("RSA bit recovery %.2f (PSC obs %.2f)", res.BitSuccessRate(), res.PSCSuccessRate())
 	}
 	if res.Recovered.Cmp(res.TrueExponent) != 0 && res.BitsCorrect != res.BitsTotal {
-		t.Logf("recovered %v vs %v (%d/%d bits)", res.Recovered, res.TrueExponent, res.BitsCorrect, res.BitsTotal)
+		t.Logf("recovered %x vs %x (%d/%d bits)", res.Recovered, res.TrueExponent, res.BitsCorrect, res.BitsTotal)
 	}
 	if res.Decryptions != res.BitsTotal*5 {
 		t.Fatalf("decryptions = %d, want %d", res.Decryptions, res.BitsTotal*5)
@@ -244,6 +250,21 @@ func TestRSAExtractionPipelined(t *testing.T) {
 	}
 	if res.Decryptions != 5 {
 		t.Fatalf("pipelined mode used %d decryptions, want 5", res.Decryptions)
+	}
+}
+
+// TestRSAResultOwnsItsExponents: a result hands out copies, so a caller
+// that changes its exponents cannot change the key every lab shares.
+func TestRSAResultOwnsItsExponents(t *testing.T) {
+	want := new(big.Int).Set(rsa.TestKey(32).D)
+	res := NewLab(Options{Seed: 3}).ExtractRSAKey(RSAOptions{KeyBits: 32, ItersPerBit: 1, Pipelined: true, VictimIterationCycles: 6000})
+	if res.TrueExponent.Cmp(want) != 0 {
+		t.Fatalf("TrueExponent %x, want %x", res.TrueExponent, want)
+	}
+	res.TrueExponent.SetInt64(1)
+	res.Recovered.SetInt64(1)
+	if got := rsa.TestKey(32).D; got.Cmp(want) != 0 {
+		t.Fatalf("changing the result changed the shared key's D: %x, want %x", got, want)
 	}
 }
 
@@ -510,7 +531,7 @@ func TestFullReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var back Report
-	if err := jsonUnmarshal(raw, &back); err != nil {
+	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Schema != r.Schema || back.Attacks.V1ThreadSuccess != r.Attacks.V1ThreadSuccess {

@@ -322,8 +322,8 @@ func runFig14b(seed int64) {
 func runFig14c(seed int64) {
 	lab := noisyLab(seed)
 	res := lab.ExtractRSAKey(afterimage.RSAOptions{KeyBits: 64, ItersPerBit: 5, VictimIterationCycles: 6000})
-	fmt.Printf("true exponent:      %v\n", res.TrueExponent)
-	fmt.Printf("recovered exponent: %v\n", res.Recovered)
+	fmt.Printf("true exponent:      %x\n", res.TrueExponent)
+	fmt.Printf("recovered exponent: %x\n", res.Recovered)
 	fmt.Printf("bits %d/%d correct; per-observation PSC accuracy %.0f%%\n",
 		res.BitsCorrect, res.BitsTotal, res.PSCSuccessRate()*100)
 }

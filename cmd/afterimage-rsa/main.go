@@ -35,8 +35,8 @@ func main() {
 
 	fmt.Printf("machine:            %s\n", lab.ModelName())
 	fmt.Printf("key size:           %d-bit modulus, %d-bit private exponent\n", res.KeyBits, res.BitsTotal)
-	fmt.Printf("true exponent:      %v\n", res.TrueExponent)
-	fmt.Printf("recovered exponent: %v\n", res.Recovered)
+	fmt.Printf("true exponent:      %x\n", res.TrueExponent)
+	fmt.Printf("recovered exponent: %x\n", res.Recovered)
 	fmt.Printf("bits correct:       %d/%d (%.1f%%)\n", res.BitsCorrect, res.BitsTotal, res.BitSuccessRate()*100)
 	fmt.Printf("PSC observations:   %d, accuracy %.1f%% (paper: 82%%)\n", res.Observations, res.PSCSuccessRate()*100)
 	fmt.Printf("decryptions:        %d\n", res.Decryptions)

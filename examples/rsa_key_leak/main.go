@@ -27,8 +27,8 @@ func main() {
 
 	fmt.Printf("attacking a %d-bit timing-constant RSA decryption on %s\n\n",
 		res.KeyBits, lab.ModelName())
-	fmt.Printf("true private exponent: %v\n", res.TrueExponent)
-	fmt.Printf("recovered exponent:    %v\n", res.Recovered)
+	fmt.Printf("true private exponent: %x\n", res.TrueExponent)
+	fmt.Printf("recovered exponent:    %x\n", res.Recovered)
 	match := "exact match"
 	if res.Recovered.Cmp(res.TrueExponent) != 0 {
 		match = fmt.Sprintf("%d/%d bits", res.BitsCorrect, res.BitsTotal)

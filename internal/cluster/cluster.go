@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -235,28 +237,11 @@ func (c *Coordinator) httpClient() *http.Client {
 // Registry exposes the coordinator's metric registry.
 func (c *Coordinator) Registry() *telemetry.Registry { return c.reg }
 
-// validWorkerID bounds worker names so they are safe as metric-name
-// segments (same alphabet as server tenants).
-func validWorkerID(id string) bool {
-	if len(id) == 0 || len(id) > 64 {
-		return false
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // Register adds (or revives) a worker at addr. Registration is idempotent:
 // workers re-register on a timer, which both survives coordinator restarts
 // and revives workers the pool evicted while they were down.
 func (c *Coordinator) Register(id, addr string) error {
-	if !validWorkerID(id) {
+	if !telemetry.ValidSegment(id) {
 		return fmt.Errorf("cluster: invalid worker id %q: want 1..64 chars of [a-zA-Z0-9_-]", id)
 	}
 	if addr == "" {
@@ -334,7 +319,7 @@ func (c *Coordinator) Workers() []WorkerStatus {
 		st.Breaker = w.breaker.State(now).String()
 		out = append(out, st)
 	}
-	sortWorkerStatus(out)
+	slices.SortFunc(out, func(a, b WorkerStatus) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -377,19 +362,5 @@ func (c *Coordinator) Stop() {
 	c.stopOnce.Do(func() { close(c.stopc) })
 	if c.started.Load() {
 		<-c.done
-	}
-}
-
-// contextWithTimeout is context.WithTimeout from Background, split out so
-// probe call sites stay short.
-func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), d)
-}
-
-func sortWorkerStatus(ws []WorkerStatus) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].ID < ws[j-1].ID; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
-		}
 	}
 }

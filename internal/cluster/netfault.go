@@ -175,7 +175,7 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 	in.mu.Lock()
 	if in.partitioned[host] {
 		in.mu.Unlock()
-		incIf(in.partitions)
+		in.partitions.Inc()
 		drainBody(req)
 		return nil, fmt.Errorf("%w: %s", ErrInjectedPartition, host)
 	}
@@ -185,12 +185,12 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 
 	d := in.cfg.decide(host, n)
 	if d.Drop {
-		incIf(in.drops)
+		in.drops.Inc()
 		drainBody(req)
 		return nil, fmt.Errorf("%w: %s request %d", ErrInjectedDrop, host, n)
 	}
 	if d.Delay > 0 {
-		incIf(in.delays)
+		in.delays.Inc()
 		if err := sleepInjected(req.Context(), d.Delay); err != nil {
 			drainBody(req)
 			return nil, err
@@ -201,7 +201,7 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 			// The duplicate's response is the one the network "lost".
 			io.Copy(io.Discard, first.Body)
 			first.Body.Close()
-			incIf(in.duplicates)
+			in.duplicates.Inc()
 		}
 		body, err := req.GetBody()
 		if err != nil {
@@ -241,11 +241,5 @@ func sleepInjected(ctx context.Context, d time.Duration) error {
 		return ctx.Err()
 	case <-t.C:
 		return nil
-	}
-}
-
-func incIf(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc()
 	}
 }

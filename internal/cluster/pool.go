@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"hash/fnv"
 	"io"
 	"net/http"
@@ -226,7 +227,7 @@ func (r *latencyRing) percentile(p float64) (time.Duration, bool) {
 // non-200 answer (including a draining worker's 503) is a failed probe, so
 // draining workers fall out of rotation before they stop answering at all.
 func (c *Coordinator) probe(w *worker) bool {
-	ctx, cancel := contextWithTimeout(c.cfg.HeartbeatTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.HeartbeatTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.addr+"/healthz", nil)
 	if err != nil {

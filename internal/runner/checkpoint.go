@@ -42,7 +42,7 @@ type checkpointState struct {
 func (st *checkpointState) degrade(c counters) {
 	if !st.degraded {
 		st.degraded = true
-		inc(c.checkpointDegraded)
+		c.checkpointDegraded.Inc()
 	}
 }
 
@@ -94,7 +94,7 @@ func openCheckpoint(path, fingerprint string, resume bool, fsys vfs.FS, c counte
 				"path", path, "err", err, "quarantine_err", qerr)
 			return st, nil
 		}
-		inc(c.checkpointCorrupt)
+		c.checkpointCorrupt.Inc()
 		return st, nil
 	}
 	if f.Schema != CheckpointSchema {

@@ -217,18 +217,6 @@ func newCounters(reg *telemetry.Registry) counters {
 	}
 }
 
-func inc(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func add(c *telemetry.Counter, n uint64) {
-	if c != nil {
-		c.Add(n)
-	}
-}
-
 // Run executes the campaign and returns one JobResult per job, in job order.
 // Degraded jobs do not fail the campaign; the returned error is non-nil only
 // for campaign-level problems — duplicate keys, an unusable checkpoint, or
@@ -283,7 +271,7 @@ func Run(ctx context.Context, jobs []Job, o Options) ([]JobResult, error) {
 			if r, ok := cp.completed[j.Key]; ok {
 				r.Resumed = true
 				results[i] = r
-				inc(c.resumed)
+				c.resumed.Inc()
 				continue
 			}
 		}
@@ -314,7 +302,7 @@ func Run(ctx context.Context, jobs []Job, o Options) ([]JobResult, error) {
 				"path", o.CheckpointPath, "err", err)
 			return
 		}
-		inc(c.checkpointWrites)
+		c.checkpointWrites.Inc()
 		if o.OnCheckpoint != nil {
 			o.OnCheckpoint(len(cp.completed))
 		}
@@ -328,7 +316,7 @@ func Run(ctx context.Context, jobs []Job, o Options) ([]JobResult, error) {
 			defer wg.Done()
 			for idx := range work {
 				if ctx.Err() != nil {
-					inc(c.skipped)
+					c.skipped.Inc()
 					record(idx, JobResult{Key: jobs[idx].Key, Skipped: true})
 					continue
 				}
@@ -353,19 +341,17 @@ func runJob(ctx context.Context, job Job, o Options, c counters) JobResult {
 	r := JobResult{Key: job.Key}
 	for attempt := 0; ; attempt++ {
 		if ctx.Err() != nil {
-			inc(c.skipped)
+			c.skipped.Inc()
 			return JobResult{Key: job.Key, Skipped: true}
 		}
 		jctx, cancel := ctx, context.CancelFunc(func() {})
 		if o.JobTimeout > 0 {
 			jctx, cancel = context.WithTimeout(ctx, o.JobTimeout)
 		}
-		inc(c.started)
+		c.started.Inc()
 		began := time.Now()
 		val, err := safeRun(jctx, job, attempt)
-		if c.attemptUS != nil {
-			c.attemptUS.Observe(uint64(time.Since(began).Microseconds()))
-		}
+		c.attemptUS.Observe(uint64(time.Since(began).Microseconds()))
 		timedOut := jctx.Err() != nil && ctx.Err() == nil
 		cancel()
 		r.Attempts = attempt + 1
@@ -377,14 +363,14 @@ func runJob(ctx context.Context, job Job, o Options, c counters) JobResult {
 			} else {
 				r.Value = raw
 				r.Err, r.FaultKind = "", "" // earlier attempts' failures are history
-				inc(c.completed)
+				c.completed.Inc()
 				return r
 			}
 		}
 		if ctx.Err() != nil {
 			// The campaign died under the job; its partial outcome must not
 			// be recorded as a degraded point — a resume will re-run it.
-			inc(c.skipped)
+			c.skipped.Inc()
 			return JobResult{Key: job.Key, Skipped: true}
 		}
 
@@ -403,10 +389,10 @@ func runJob(ctx context.Context, job Job, o Options, c counters) JobResult {
 			class = ClassTransient
 		}
 		if class == ClassTransient && attempt+1 < o.MaxAttempts {
-			inc(c.retried)
+			c.retried.Inc()
 			d := Delay(o.BackoffBase, o.BackoffMax, o.Seed, job.Key, attempt)
-			inc(c.backoffWaits)
-			add(c.backoffNanos, uint64(d))
+			c.backoffWaits.Inc()
+			c.backoffNanos.Add(uint64(d))
 			obslog.Ctx(o.Logger, ctx).Warn("job retrying", "job", job.Key,
 				"attempt", attempt+1, "fault", r.FaultKind, "backoff", d, "err", err)
 			sleepCtx(ctx, d, o.Sleep)
@@ -419,7 +405,7 @@ func runJob(ctx context.Context, job Job, o Options, c counters) JobResult {
 			}
 		}
 		r.Degraded = true
-		inc(c.degraded)
+		c.degraded.Inc()
 		obslog.Ctx(o.Logger, ctx).Warn("job degraded", "job", job.Key,
 			"attempts", r.Attempts, "class", class.String(), "err", err)
 		return r

@@ -70,7 +70,7 @@ func (a *admission) acquire(ctx context.Context, tenant string) (func(), *apiErr
 	a.mu.Lock()
 	if a.tenants[tenant] >= a.tenantQuota {
 		a.mu.Unlock()
-		inc(a.quotaRejected)
+		a.quotaRejected.Inc()
 		return nil, &apiError{
 			Status:     429,
 			Msg:        fmt.Sprintf("tenant %q is at its quota of %d concurrent campaigns", tenant, a.tenantQuota),
@@ -98,16 +98,14 @@ func (a *admission) acquire(ctx context.Context, tenant string) (func(), *apiErr
 		if n := a.queued.Add(1); n > a.queueDepth {
 			a.queued.Add(-1)
 			releaseTenant()
-			inc(a.shed)
+			a.shed.Inc()
 			return nil, &apiError{
 				Status:     429,
 				Msg:        fmt.Sprintf("admission queue is full (%d waiting)", a.queueDepth),
 				RetryAfter: a.retryAfter,
 			}
 		}
-		if a.waiting != nil {
-			a.waiting.Set(a.queued.Load())
-		}
+		a.waiting.Set(a.queued.Load())
 		select {
 		case a.sem <- struct{}{}:
 		case <-ctx.Done():
@@ -116,14 +114,10 @@ func (a *admission) acquire(ctx context.Context, tenant string) (func(), *apiErr
 			return nil, &apiError{Status: 503, Msg: "canceled while queued for admission", RetryAfter: a.retryAfter}
 		}
 		a.queued.Add(-1)
-		if a.waiting != nil {
-			a.waiting.Set(a.queued.Load())
-		}
+		a.waiting.Set(a.queued.Load())
 	}
-	if a.queueWait != nil {
-		a.queueWait.Observe(uint64(time.Since(enqueued).Microseconds()))
-	}
-	inc(a.admitted)
+	a.queueWait.Observe(uint64(time.Since(enqueued).Microseconds()))
+	a.admitted.Inc()
 
 	var once sync.Once
 	return func() {
@@ -132,10 +126,4 @@ func (a *admission) acquire(ctx context.Context, tenant string) (func(), *apiErr
 			releaseTenant()
 		})
 	}, nil
-}
-
-func inc(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc()
-	}
 }

@@ -374,7 +374,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec = spec.Normalize()
-	if !validTenant(spec.Tenant) {
+	if !telemetry.ValidSegment(spec.Tenant) {
 		s.validationRejected.Inc()
 		writeJSON(w, http.StatusBadRequest, map[string]string{
 			"error": fmt.Sprintf("invalid tenant %q: want 1..64 chars of [a-zA-Z0-9_-]", spec.Tenant),
@@ -819,22 +819,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"status":   "ok",
 		"draining": false,
 	})
-}
-
-// validTenant bounds tenant names so they are safe as metric-name segments.
-func validTenant(t string) bool {
-	if len(t) == 0 || len(t) > 64 {
-		return false
-	}
-	for i := 0; i < len(t); i++ {
-		c := t[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 func writeResult(w http.ResponseWriter, key, source string, body []byte) {

@@ -97,13 +97,13 @@ func (s *Store) evictLocked(now time.Time, justWritten string) {
 			continue
 		}
 		if s.pins[v.key] > 0 {
-			inc(s.gcPinnedSkips)
+			s.gcPinnedSkips.Inc()
 			continue
 		}
 		if s.minAge > 0 && now.Sub(v.meta.written) < s.minAge {
 			// Candidates are ordered oldest-first, so every later entry is
 			// inside the grace period too — the pass is done.
-			inc(s.gcPinnedSkips)
+			s.gcPinnedSkips.Inc()
 			return
 		}
 		if err := s.fs.Remove(s.path(v.key)); err != nil && !os.IsNotExist(err) {
@@ -114,8 +114,8 @@ func (s *Store) evictLocked(now time.Time, justWritten string) {
 		s.total -= v.meta.size
 		delete(s.index, v.key)
 		s.setBytesGauge()
-		inc(s.gcEvictions)
-		add(s.gcBytes, uint64(v.meta.size))
+		s.gcEvictions.Inc()
+		s.gcBytes.Add(uint64(v.meta.size))
 		s.log.Debug("store GC evicted entry", "key", v.key,
 			"bytes", v.meta.size, "total", s.total)
 	}

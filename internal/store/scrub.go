@@ -33,7 +33,7 @@ func (s *Store) Scrub(ctx context.Context) ScrubReport {
 }
 
 func (s *Store) scrub(ctx context.Context, rate int) ScrubReport {
-	inc(s.scrubPasses)
+	s.scrubPasses.Inc()
 	var rep ScrubReport
 
 	// Snapshot the entry list first so one pass is bounded even while
@@ -58,10 +58,10 @@ func (s *Store) scrub(ctx context.Context, rate int) ScrubReport {
 			continue // vanished mid-pass (evicted/quarantined); not damage
 		}
 		rep.Scanned++
-		inc(s.scrubScanned)
+		s.scrubScanned.Inc()
 		if _, derr := decodeEntry(key, raw); derr != nil {
 			rep.Corrupt++
-			inc(s.scrubCorrupt)
+			s.scrubCorrupt.Inc()
 			s.quarantine(p)
 			s.log.Warn("scrubber quarantined corrupt entry",
 				"key", key, "err", derr)

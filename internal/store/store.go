@@ -218,7 +218,7 @@ func OpenWith(o Options) (*Store, int, error) {
 	}
 	s.health.OnTransition(func(from, to cluster.BreakerState) {
 		if to == cluster.BreakerOpen {
-			inc(s.breakerOpened)
+			s.breakerOpened.Inc()
 		}
 	})
 	quarantined, err := s.recoveryScan()
@@ -284,31 +284,29 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // context's correlation ID, tying a quarantine to the campaign that hit it.
 func (s *Store) GetCtx(ctx context.Context, key string) ([]byte, bool) {
 	if !ValidKey(key) {
-		inc(s.misses)
+		s.misses.Inc()
 		return nil, false
 	}
 	start := time.Now()
 	defer func() {
-		if s.readUS != nil {
-			s.readUS.Observe(uint64(time.Since(start).Microseconds()))
-		}
+		s.readUS.Observe(uint64(time.Since(start).Microseconds()))
 	}()
 	p := s.path(key)
 	raw, err := s.fs.ReadFile(p)
 	if err != nil {
-		inc(s.misses)
+		s.misses.Inc()
 		return nil, false
 	}
 	body, err := decodeEntry(key, raw)
 	if err != nil {
-		inc(s.corrupt)
-		inc(s.misses)
+		s.corrupt.Inc()
+		s.misses.Inc()
 		s.quarantine(p)
 		obslog.Ctx(s.log, ctx).Warn("store entry failed integrity check; quarantined",
 			"key", key, "err", err)
 		return nil, false
 	}
-	inc(s.hits)
+	s.hits.Inc()
 	return body, true
 }
 
@@ -334,27 +332,25 @@ func (s *Store) PutCtx(ctx context.Context, key string, payload []byte) error {
 	}
 	start := time.Now()
 	defer func() {
-		if s.writeUS != nil {
-			s.writeUS.Observe(uint64(time.Since(start).Microseconds()))
-		}
+		s.writeUS.Observe(uint64(time.Since(start).Microseconds()))
 	}()
 	if !s.health.Allow(time.Now()) {
-		inc(s.breakerDropped)
-		inc(s.degradedWrites)
+		s.breakerDropped.Inc()
+		s.degradedWrites.Inc()
 		obslog.Ctx(s.log, ctx).Warn("store write dropped: health breaker open", "key", key)
 		return fmt.Errorf("%w (key %s)", ErrDegraded, key)
 	}
 	size, err := s.writeEntry(key, payload)
 	if err != nil {
 		s.health.Failure(time.Now())
-		inc(s.putErrors)
-		inc(s.degradedWrites)
+		s.putErrors.Inc()
+		s.degradedWrites.Inc()
 		obslog.Ctx(s.log, ctx).Warn("store write failed; cache write shed",
 			"key", key, "err", err)
 		return err
 	}
 	s.health.Success(time.Now())
-	inc(s.writes)
+	s.writes.Inc()
 	s.recordWrite(key, size, time.Now())
 	obslog.Ctx(s.log, ctx).Debug("store write", "key", key, "bytes", len(payload))
 	return nil
@@ -527,13 +523,13 @@ func (s *Store) recoveryScan() (int, error) {
 		s.total += int64(len(raw))
 		s.setBytesGauge()
 		s.imu.Unlock()
-		inc(s.entries)
+		s.entries.Inc()
 	})
 	for _, p := range bad {
 		s.quarantine(p)
 		quarantined++
 	}
-	add(s.recovered, uint64(quarantined))
+	s.recovered.Add(uint64(quarantined))
 	return quarantined, nil
 }
 
@@ -549,7 +545,7 @@ func (s *Store) quarantine(path string) {
 	dst := filepath.Join(s.dir, QuarantineDir, fmt.Sprintf("%s.%d", filepath.Base(path), s.qseq))
 	s.mu.Unlock()
 	if err := s.fs.Rename(path, dst); err != nil {
-		inc(s.quarantineFailed)
+		s.quarantineFailed.Inc()
 		if rerr := s.fs.Remove(path); rerr != nil && !os.IsNotExist(rerr) {
 			s.log.Error("quarantine rename and removal both failed; corrupt file remains (unservable)",
 				"path", path, "rename_err", err, "remove_err", rerr)
@@ -579,9 +575,7 @@ func (s *Store) dropFromIndex(path string) {
 
 // setBytesGauge publishes the indexed total. Callers hold imu.
 func (s *Store) setBytesGauge() {
-	if s.bytesGauge != nil {
-		s.bytesGauge.Set(s.total)
-	}
+	s.bytesGauge.Set(s.total)
 }
 
 // decodeEntry parses and verifies one entry file: schema token, key match,
@@ -614,16 +608,4 @@ func decodeEntry(key string, raw []byte) ([]byte, error) {
 		return nil, fmt.Errorf("store: payload sha256 mismatch")
 	}
 	return body, nil
-}
-
-func inc(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func add(c *telemetry.Counter, n uint64) {
-	if c != nil {
-		c.Add(n)
-	}
 }

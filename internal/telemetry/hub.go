@@ -165,8 +165,9 @@ func (h *Hub) AbsorbSummaries(sums []PhaseSummary) {
 // AbsorbEvents appends another machine's retained trace to this hub's ring,
 // shifting cycles so the absorbed span begins after everything recorded or
 // absorbed so far (child clocks all start at zero and would otherwise
-// interleave). Events keep their phase attribution from the source machine.
-// No-op while tracing is disabled here.
+// interleave). Events keep their phase attribution from the source machine,
+// and each one that is not a phase marker counts into its phase here, when
+// this hub knows the phase. No-op while tracing is disabled here.
 func (h *Hub) AbsorbEvents(events []Event) {
 	if h == nil || h.bus == nil || len(events) == 0 {
 		return
@@ -177,6 +178,9 @@ func (h *Hub) AbsorbEvents(events []Event) {
 	}
 	last := events[len(events)-1].Cycle
 	for _, ev := range events {
+		if agg := h.byName[ev.Phase]; agg != nil && ev.Kind != EvPhaseBegin && ev.Kind != EvPhaseEnd {
+			agg.Events++
+		}
 		ev.Cycle += base
 		h.bus.Emit(ev)
 	}

@@ -1,9 +1,10 @@
 // Package telemetry is the unified observability layer of the AfterImage
 // simulator: a namespaced metrics registry (cheap atomic counters, gauges and
 // fixed-bucket latency histograms, plus pull-samplers over component-local
-// counters), a cycle-stamped event bus backed by a fixed-capacity ring buffer
-// that costs nothing when disabled, attack-phase span tracking, and a Chrome
-// trace_event JSON exporter so any run opens in chrome://tracing or Perfetto.
+// counters), a cycle-stamped event bus backed by a bounded ring buffer that
+// grows to its capacity and costs nothing when disabled, attack-phase span
+// tracking, and a Chrome trace_event JSON exporter so any run opens in
+// chrome://tracing or Perfetto.
 //
 // Every machine owns one Hub; components register metric samplers at
 // construction and emit typed events on their hot paths guarded by
@@ -18,13 +19,23 @@ import (
 )
 
 // Counter is a monotonically increasing (but resettable) atomic counter.
+// Inc and Add on a nil *Counter do nothing, so a component built without a
+// registry keeps nil handles and calls them unguarded.
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
@@ -32,14 +43,23 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.v.Store(0) }
 
-// Gauge is an atomic signed instantaneous value.
+// Gauge is an atomic signed instantaneous value. Set and Add on a nil
+// *Gauge do nothing.
 type Gauge struct{ v atomic.Int64 }
 
 // Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
+func (g *Gauge) Set(n int64) {
+	if g != nil {
+		g.v.Store(n)
+	}
+}
 
 // Add moves the value by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
+func (g *Gauge) Add(delta int64) {
+	if g != nil {
+		g.v.Add(delta)
+	}
+}
 
 // Value reads the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -48,7 +68,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // into the first bucket whose upper bound is >= the value, with one implicit
 // overflow bucket. Bounds are fixed at construction, so Observe is a short
 // linear scan plus three atomic adds — cheap enough for the simulator's
-// per-load hot path.
+// per-load hot path. Observe on a nil *Histogram does nothing.
 type Histogram struct {
 	bounds []uint64
 	counts []atomic.Uint64 // len(bounds)+1, last = overflow
@@ -65,6 +85,9 @@ func NewHistogram(bounds []uint64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
+	if h == nil {
+		return
+	}
 	i := 0
 	for ; i < len(h.bounds); i++ {
 		if v <= h.bounds[i] {

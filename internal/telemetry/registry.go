@@ -21,6 +21,24 @@ type Registry struct {
 	funcs    map[string]func() uint64
 }
 
+// ValidSegment reports whether s is safe as one segment of a dotted metric
+// name: 1..64 characters of [a-zA-Z0-9_-]. Server tenants and cluster
+// worker IDs both become such segments.
+func ValidSegment(s string) bool {
+	if len(s) == 0 || len(s) > 64 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{

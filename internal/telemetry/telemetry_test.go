@@ -5,7 +5,34 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestNilMetricsAreInert: a component built without a registry holds nil
+// handles, and every update method on them does nothing.
+func TestNilMetricsAreInert(t *testing.T) {
+	var (
+		c *Counter
+		g *Gauge
+		h *Histogram
+	)
+	c.Inc()
+	c.Add(3)
+	g.Set(4)
+	g.Add(-1)
+	h.Observe(5)
+}
+
+func TestValidSegment(t *testing.T) {
+	for s, want := range map[string]bool{
+		"alice": true, "worker-1_B": true, strings.Repeat("x", 64): true,
+		"": false, strings.Repeat("x", 65): false, "a.b": false, "a b": false, "é": false,
+	} {
+		if got := ValidSegment(s); got != want {
+			t.Errorf("ValidSegment(%q) = %v, want %v", s, got, want)
+		}
+	}
+}
 
 func TestCounterGaugeHistogram(t *testing.T) {
 	var c Counter
@@ -90,6 +117,29 @@ func TestBusWraparound(t *testing.T) {
 	b.Reset()
 	if b.Len() != 0 || b.Dropped() != 0 {
 		t.Fatalf("reset failed: len=%d dropped=%d", b.Len(), b.Dropped())
+	}
+}
+
+// TestBusGrowsToCapacity: a ring allocates as events arrive, so a short
+// trace on a default-capacity bus holds kilobytes, not the ~16 MB of its
+// full capacity, and a ring never holds more slots than its capacity.
+func TestBusGrowsToCapacity(t *testing.T) {
+	b := NewBus(0)
+	for i := 0; i < 1000; i++ {
+		b.Emit(Event{Cycle: uint64(i)})
+	}
+	if b.Len() != 1000 || b.Cap() != DefaultBusCapacity {
+		t.Fatalf("len/cap = %d/%d", b.Len(), b.Cap())
+	}
+	if slots := cap(b.buf); slots > 2048 {
+		t.Fatalf("1000 events hold %d slots (%d bytes)", slots, slots*int(unsafe.Sizeof(Event{})))
+	}
+	small := NewBus(100)
+	for i := 0; i < 1000; i++ {
+		small.Emit(Event{Cycle: uint64(i)})
+	}
+	if cap(small.buf) != 100 || small.Events()[0].Cycle != 900 {
+		t.Fatalf("capacity-100 ring holds %d slots, oldest cycle %d", cap(small.buf), small.Events()[0].Cycle)
 	}
 }
 

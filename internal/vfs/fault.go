@@ -199,12 +199,6 @@ func (f *FaultFS) next(path string) FaultDecision {
 	return f.cfg.decide(path, n)
 }
 
-func (f *FaultFS) count(c *telemetry.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
 // Passthrough (unfaulted) operations.
 
 func (f *FaultFS) MkdirAll(path string, perm iofs.FileMode) error {
@@ -222,7 +216,7 @@ func (f *FaultFS) SyncDir(path string) error                    { return f.inner
 func (f *FaultFS) Create(path string) (File, error) {
 	if f.enabled.Load() {
 		if err := f.next(path).Fault(OpCreate); err != nil {
-			f.count(f.enospc)
+			f.enospc.Inc()
 			return nil, err
 		}
 	}
@@ -238,7 +232,7 @@ func (f *FaultFS) Create(path string) (File, error) {
 func (f *FaultFS) Rename(oldpath, newpath string) error {
 	if f.enabled.Load() {
 		if err := f.next(oldpath).Fault(OpRename); err != nil {
-			f.count(f.renames)
+			f.renames.Inc()
 			return err
 		}
 	}
@@ -259,16 +253,16 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 	d := ff.fs.next(ff.path)
 	if err := d.Fault(OpWrite); err != nil {
 		if errors.Is(err, syscall.ENOSPC) {
-			ff.fs.count(ff.fs.enospc)
+			ff.fs.enospc.Inc()
 		} else {
-			ff.fs.count(ff.fs.eio)
+			ff.fs.eio.Inc()
 		}
 		return 0, err
 	}
 	if d.TornWrite(OpWrite) {
 		// Silent truncation: a deterministic prefix lands, the call lies
 		// about it. Only content verification downstream can notice.
-		ff.fs.count(ff.fs.torn)
+		ff.fs.torn.Inc()
 		keep := int(d.TornFrac * float64(len(p)))
 		if keep >= len(p) && len(p) > 0 {
 			keep = len(p) - 1
@@ -285,9 +279,9 @@ func (ff *faultFile) Sync() error {
 	if ff.fs.enabled.Load() {
 		if err := ff.fs.next(ff.path).Fault(OpSync); err != nil {
 			if errors.Is(err, syscall.ENOSPC) {
-				ff.fs.count(ff.fs.enospc)
+				ff.fs.enospc.Inc()
 			} else {
-				ff.fs.count(ff.fs.eio)
+				ff.fs.eio.Inc()
 			}
 			return err
 		}

@@ -1,7 +1,8 @@
 package victim
 
 import (
-	"afterimage/internal/bignum"
+	"math/big"
+
 	"afterimage/internal/mem"
 	"afterimage/internal/rsa"
 	"afterimage/internal/sim"
@@ -50,7 +51,7 @@ func NewRSALadder(env *sim.Env, key *rsa.PrivateKey) *RSALadder {
 
 // Decrypt performs the full private-key operation, issuing the per-bit
 // branch-dependent loads and yields. It returns the plaintext.
-func (v *RSALadder) Decrypt(env *sim.Env, c bignum.Nat) bignum.Nat {
+func (v *RSALadder) Decrypt(env *sim.Env, c *big.Int) *big.Int {
 	iteration := 0
 	return v.Key.DecryptWithHook(c, func(bitIndex int, bit uint) {
 		v.LadderStep(env, iteration, bit)
@@ -59,7 +60,7 @@ func (v *RSALadder) Decrypt(env *sim.Env, c bignum.Nat) bignum.Nat {
 }
 
 // LadderStep issues one iteration's microarchitectural activity without the
-// bignum arithmetic — used by tests and by the covert-timing experiments
+// big-number arithmetic — used by tests and by the covert-timing experiments
 // that only need the load behaviour.
 func (v *RSALadder) LadderStep(env *sim.Env, iteration int, bit uint) {
 	// Operand pointers live on a handful of workspace lines; the accessed

@@ -1,9 +1,9 @@
 package victim
 
 import (
+	"math/big"
 	"testing"
 
-	"afterimage/internal/bignum"
 	"afterimage/internal/mem"
 	"afterimage/internal/rsa"
 	"afterimage/internal/sim"
@@ -107,7 +107,7 @@ func TestRSALadderDecryptsCorrectly(t *testing.T) {
 	key := rsa.TestKey(128)
 	v := NewRSALadder(env, key)
 	v.YieldPerBit = false // direct env
-	msg := bignum.New(987654321)
+	msg := big.NewInt(987654321)
 	c, err := key.Encrypt(msg)
 	if err != nil {
 		t.Fatal(err)

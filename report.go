@@ -365,7 +365,3 @@ func FullReportCtx(ctx context.Context, opts ReportOptions) (*Report, error) {
 func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
-
-// jsonUnmarshal is a seam for tests (and avoids importing encoding/json in
-// test files).
-func jsonUnmarshal(b []byte, v interface{}) error { return json.Unmarshal(b, v) }

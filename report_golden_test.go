@@ -1,6 +1,7 @@
 package afterimage
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"testing"
@@ -22,7 +23,7 @@ func TestReportMatchesGolden(t *testing.T) {
 		t.Fatalf("read golden: %v", err)
 	}
 	var want Report
-	if err := jsonUnmarshal(raw, &want); err != nil {
+	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatalf("parse golden: %v", err)
 	}
 

@@ -1,7 +1,8 @@
 package afterimage
 
 import (
-	"afterimage/internal/bignum"
+	"math/big"
+
 	"afterimage/internal/core"
 	"afterimage/internal/rsa"
 	"afterimage/internal/sim"
@@ -31,9 +32,12 @@ type RSAOptions struct {
 
 // RSAResult reports the key extraction.
 type RSAResult struct {
-	KeyBits       int
-	TrueExponent  bignum.Nat
-	Recovered     bignum.Nat
+	KeyBits int
+	// TrueExponent is a copy of the victim key's private exponent; the key
+	// itself is shared by every lab and stays untouched.
+	TrueExponent *big.Int
+	// Recovered is the exponent read from the majority votes, MSB first.
+	Recovered     *big.Int
 	BitsCorrect   int
 	BitsTotal     int
 	ObservationOK int // individual PSC observations that matched the bit
@@ -86,8 +90,8 @@ func (l *Lab) ExtractRSAKey(opts RSAOptions) RSAResult {
 
 	exp := key.D
 	bits := exp.BitLen()
-	res := RSAResult{KeyBits: opts.KeyBits, TrueExponent: exp, BitsTotal: bits}
-	ciphertext, err := key.Encrypt(bignum.New(0xC0FFEE))
+	res := RSAResult{KeyBits: opts.KeyBits, TrueExponent: new(big.Int).Set(exp), BitsTotal: bits}
+	ciphertext, err := key.Encrypt(big.NewInt(0xC0FFEE))
 	if err != nil {
 		panic(err)
 	}
@@ -112,22 +116,12 @@ func (l *Lab) ExtractRSAKey(opts RSAOptions) RSAResult {
 	res.Cycles = m.Now() - start
 
 	// Majority vote per bit, MSB first.
-	var rec bignum.Nat
-	one := bignum.New(1)
+	res.Recovered = new(big.Int)
 	for i := 0; i < bits; i++ {
-		rec = rec.Shl(1)
 		if votes[i] > 0 {
-			rec = rec.Add(one)
+			res.Recovered.SetBit(res.Recovered, bits-1-i, 1)
 		}
-	}
-	res.Recovered = rec
-	for i := 0; i < bits; i++ {
-		want := exp.Bit(bits - 1 - i)
-		got := uint(0)
-		if votes[i] > 0 {
-			got = 1
-		}
-		if got == want {
+		if res.Recovered.Bit(bits-1-i) == exp.Bit(bits-1-i) {
 			res.BitsCorrect++
 		}
 	}
@@ -137,7 +131,7 @@ func (l *Lab) ExtractRSAKey(opts RSAOptions) RSAResult {
 // rsaObserveRun performs one victim decryption; the attacker watches bit
 // `target` (all bits when target < 0) and accumulates ±1 votes.
 func (l *Lab) rsaObserveRun(attProc, vicProc *sim.Process, vic *victim.RSALadder,
-	ciphertext bignum.Nat, bits, target int, votes []int, res *RSAResult) {
+	ciphertext *big.Int, bits, target int, votes []int, res *RSAResult) {
 	m := l.m
 	exp := vic.Key.D
 	m.Spawn(attProc, "attacker", func(e *sim.Env) {

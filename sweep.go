@@ -133,7 +133,7 @@ type SweepPoint struct {
 	StateHash uint64 `json:"state_hash,omitempty"`
 	// Phases carries the point lab's attack-phase accounting
 	// (train/trigger/probe/decode), which the parent lab also absorbs into
-	// its own PhaseSummaries.
+	// its own PhaseSummaries. Its event counts are zero, traced or not.
 	Phases []PhaseSummary `json:"phases,omitempty"`
 }
 
@@ -162,7 +162,8 @@ func (r SweepResult) JSON() ([]byte, error) {
 // state-identical to a fresh fork of it; without one there is no template,
 // and a reset lab is state-identical to a fresh boot. A traced lab traces
 // every point lab with its own ring capacity and absorbs their events in
-// point order; tracing changes no result but the phases' event counts. The
+// point order, counting them into its own phases; tracing changes no result
+// byte. The
 // whole curve is a pure function of the options and the lab seed —
 // rerunning with the same seed reproduces it point for point, regardless
 // of worker count or checkpoint resume.
@@ -489,6 +490,11 @@ func runSweepPoint(jctx context.Context, lab *Lab, o SweepOptions, intensity flo
 		pt.FaultEvents = eng.Stats().Total
 	}
 	pt.StateHash = lab.m.StateHash()
+	// Without event counts, so a point's bytes do not depend on tracing;
+	// a traced parent counts the events it absorbs instead.
 	pt.Phases = lab.PhaseSummaries()
+	for i := range pt.Phases {
+		pt.Phases[i].Events = 0
+	}
 	return pt, err
 }
