@@ -19,6 +19,8 @@ package afterimage
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"afterimage/internal/detrand"
 	"afterimage/internal/sim"
@@ -91,36 +93,64 @@ type Lab struct {
 	rngSrc *detrand.Source
 }
 
-// NewLab boots a fresh simulated machine. Invalid options panic with a
-// typed *OptionError; NewLabE is the error-returning variant.
+// NewLab boots a simulated machine. Invalid options panic with a typed
+// *OptionError; NewLabE is the error-returning variant. When a closed lab
+// of the same model has left a machine in the process-wide idle pool (see
+// Close), NewLab boots that machine to the new options in place
+// (sim.Machine.Boot) instead of building one; the two are state-identical,
+// so results do not depend on which happened.
 func NewLab(opts Options) *Lab {
-	if err := opts.Validate(); err != nil {
-		panic(err)
+	cfg := opts.machineConfig()
+	m := takeIdle(opts.Model)
+	if m == nil || m.Boot(cfg) != nil {
+		m = sim.NewMachine(cfg)
 	}
-	var cfg sim.Config
-	switch opts.Model {
-	case Haswell:
-		cfg = sim.Haswell(opts.Seed)
-	default:
-		cfg = sim.CoffeeLake(opts.Seed)
-	}
-	if opts.Quiet {
-		cfg = sim.Quiet(cfg)
-	}
-	cfg.FlushPrefetcherOnSwitch = opts.MitigationFlush
-	cfg.IPStride.FullIPTag = opts.FullIPTag
-	cfg.IPStride.PIDTag = opts.PIDTag
-	if opts.DisableNoisePrefetchers {
-		cfg.DCUEnabled, cfg.DPLEnabled, cfg.StreamerEnabled = false, false, false
-	}
-	cfg.MaxCycles = opts.MaxCycles
-	l := &Lab{opts: opts, m: sim.NewMachine(cfg)}
+	return newLabOn(opts, m)
+}
+
+// buildLab is NewLab building its machine from nothing, never from the
+// idle pool: the fresh sweep reference and the replay harness take their
+// labs this way, so the recycled labs are checked against machines the
+// pool never touched.
+func buildLab(opts Options) *Lab {
+	return newLabOn(opts, sim.NewMachine(opts.machineConfig()))
+}
+
+// newLabOn wraps m, a machine booted to opts, in a lab.
+func newLabOn(opts Options, m *sim.Machine) *Lab {
+	l := &Lab{opts: opts, m: m}
 	l.boot()
 	return l
 }
 
-// boot is the lab-level part of NewLab and resetFrom(nil), on a freshly
-// built machine: the audit cadence and the lab RNG at its seed, reseeded in
+// machineConfig validates the options, panicking with a typed
+// *OptionError, and derives the machine configuration they describe.
+func (o Options) machineConfig() sim.Config {
+	if err := o.Validate(); err != nil {
+		panic(err)
+	}
+	var cfg sim.Config
+	switch o.Model {
+	case Haswell:
+		cfg = sim.Haswell(o.Seed)
+	default:
+		cfg = sim.CoffeeLake(o.Seed)
+	}
+	if o.Quiet {
+		cfg = sim.Quiet(cfg)
+	}
+	cfg.FlushPrefetcherOnSwitch = o.MitigationFlush
+	cfg.IPStride.FullIPTag = o.FullIPTag
+	cfg.IPStride.PIDTag = o.PIDTag
+	if o.DisableNoisePrefetchers {
+		cfg.DCUEnabled, cfg.DPLEnabled, cfg.StreamerEnabled = false, false, false
+	}
+	cfg.MaxCycles = o.MaxCycles
+	return cfg
+}
+
+// boot is the lab-level part of NewLab and resetFrom(nil), on a machine
+// just booted: the audit cadence and the lab RNG at its seed, reseeded in
 // place when the lab already has one.
 func (l *Lab) boot() {
 	l.m.SetAuditEvery(l.opts.AuditEvery)
@@ -132,15 +162,27 @@ func (l *Lab) boot() {
 }
 
 // Fork returns an independent lab whose simulated state is bit-identical
-// to the receiver's: the machine forks (see sim.Machine.Fork) and the
+// to the receiver's: the machine is copied (see sim.Machine.Fork) and the
 // lab-level RNG clones at its exact stream position. Forking a pristine
 // lab is observably equivalent to NewLab with the same options — the
 // property the fork-vs-fresh differential suite gates — while forking a
 // warmed lab shares the warm prefix with the parent at the cost of a few
-// slice copies. Tracing is re-enabled on the fork's own hub when the
-// parent had it on; the retained parent trace is not carried over.
+// slice copies. When the idle pool holds a machine of the lab's model (see
+// Close), the copy goes into that machine's arrays
+// (sim.Machine.ResetFrom) instead of new ones. Tracing is re-enabled on the
+// fork's own hub when the parent had it on; the retained parent trace is
+// not carried over.
 func (l *Lab) Fork() (*Lab, error) {
-	fm, err := l.m.Fork()
+	if l.m == nil {
+		panic("afterimage: Fork of a closed Lab")
+	}
+	fm := takeIdle(l.opts.Model)
+	var err error
+	if fm == nil {
+		fm, err = l.m.Fork()
+	} else if err = fm.ResetFrom(l.m); err != nil {
+		putIdle(l.opts.Model, fm) // a refused reset leaves it untouched
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -149,24 +191,88 @@ func (l *Lab) Fork() (*Lab, error) {
 	return f, nil
 }
 
+// Close hands the lab's machine to the process-wide idle pool, where the
+// next NewLab or Fork of the same model reuses it instead of building a
+// new one (about 3.8 MB of cache arrays for Coffee Lake). The machine is
+// booted to its own config on the way in, so an idle machine retains only
+// its own arrays: no processes, no trace ring and no reference to another
+// machine. The pool keeps at most runtime.GOMAXPROCS(0) machines per
+// model; a machine that finds it full, or whose scheduler is mid-run, is
+// dropped instead. Read everything needed from the lab (results,
+// PhaseSummaries, MetricsSnapshot, WriteTrace, Machine) before closing it:
+// a closed lab has no machine, and using it panics. Closing a closed lab
+// does nothing. Sweeps close the labs they create; long-running callers
+// that create many labs should close the ones they are done with, and
+// labs left open are garbage collected as before.
+func (l *Lab) Close() {
+	m := l.m
+	if m == nil {
+		return
+	}
+	l.m = nil
+	if idleRoom(l.opts.Model) && m.Boot(m.Cfg) == nil {
+		putIdle(l.opts.Model, m)
+	}
+}
+
+// idleMachines is the process-wide pool behind Close: machines booted to
+// their own config, by model, waiting for NewLab to boot them or Fork to
+// copy into them. At most runtime.GOMAXPROCS(0) machines wait per model —
+// about as many labs as can run at once — so the pool bounds the memory it
+// holds.
+var idleMachines = struct {
+	sync.Mutex
+	byModel map[Model][]*sim.Machine
+}{byModel: make(map[Model][]*sim.Machine)}
+
+// takeIdle removes and returns an idle machine of the model, or nil.
+func takeIdle(model Model) *sim.Machine {
+	idleMachines.Lock()
+	defer idleMachines.Unlock()
+	ms := idleMachines.byModel[model]
+	if len(ms) == 0 {
+		return nil
+	}
+	m := ms[len(ms)-1]
+	ms[len(ms)-1] = nil
+	idleMachines.byModel[model] = ms[:len(ms)-1]
+	return m
+}
+
+// idleRoom reports whether the model's idle machines are below the bound.
+func idleRoom(model Model) bool {
+	idleMachines.Lock()
+	defer idleMachines.Unlock()
+	return len(idleMachines.byModel[model]) < runtime.GOMAXPROCS(0)
+}
+
+// putIdle adds m to the model's idle machines, or drops it when they are
+// at the bound.
+func putIdle(model Model, m *sim.Machine) {
+	idleMachines.Lock()
+	defer idleMachines.Unlock()
+	if ms := idleMachines.byModel[model]; len(ms) < runtime.GOMAXPROCS(0) {
+		idleMachines.byModel[model] = append(ms, m)
+	}
+}
+
 // resetFrom overwrites the lab with a copy of t in place: the machine
 // resets from t's (see sim.Machine.ResetFrom), and the result is
-// state-identical to t.Fork(). A nil t is the constructor state: the lab
-// becomes state-identical to NewLab(l.opts). Sweeps recycle point labs
-// this way.
+// state-identical to t.Fork(). A nil t is the constructor state: the
+// machine boots to its own config, and the lab becomes state-identical to
+// NewLab(l.opts). Sweeps recycle point labs this way.
 func (l *Lab) resetFrom(t *Lab) error {
-	var tm *sim.Machine
-	if t != nil {
-		tm = t.m
+	if t == nil {
+		if err := l.m.Boot(l.m.Cfg); err != nil {
+			return err
+		}
+		l.boot()
+		return nil
 	}
-	if err := l.m.ResetFrom(tm); err != nil {
+	if err := l.m.ResetFrom(t.m); err != nil {
 		return err
 	}
-	if t == nil {
-		l.boot()
-	} else {
-		l.adopt(t)
-	}
+	l.adopt(t)
 	return nil
 }
 

@@ -276,25 +276,73 @@ func BenchmarkSGXLeak(b *testing.B) {
 // (gated by the fork-vs-fresh differential suite, warmup included), so the
 // pair measures exactly the fork saving: the fresh boot AND re-warm every
 // point, the forked campaign warms one template and deep-copies it per point.
+// One untimed campaign runs first, so every timed one finds the idle pool
+// as back-to-back campaigns leave it, whatever ran before in the process.
 func benchSweep(b *testing.B, fresh bool) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		o := hotpathSweepOptions()
-		o.Warmup = 400_000
+	o := hotpathSweepOptions()
+	o.Warmup = 400_000
+	run := func() {
 		res, _ := NewLab(Options{Seed: 42, Quiet: true}).runFaultSweep(context.Background(), o, fresh)
 		if len(res.Points) != len(o.Intensities) {
 			b.Fatalf("sweep returned %d points, want %d", len(res.Points), len(o.Intensities))
 		}
 	}
+	run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
 }
 
-// BenchmarkSweepForked measures the campaign path: one warmed template, one
-// Machine.Fork per point.
+// BenchmarkSweepForked measures the campaign path: one warmed template and
+// one point lab, reset between points, with the caller's lab and the
+// template booted from the idle pool and the point lab forked into an
+// idle machine when one waits. The caller's lab is never closed, so each
+// campaign takes one machine out of the pool and builds or forks one.
 func BenchmarkSweepForked(b *testing.B) { benchSweep(b, false) }
 
 // BenchmarkSweepFresh is the pre-fork behaviour (a full lab boot per point),
 // kept as the baseline the forked campaign is compared against.
 func BenchmarkSweepFresh(b *testing.B) { benchSweep(b, true) }
+
+// BenchmarkNewLabIdle measures NewLab while a closed lab's machine waits
+// in the idle pool: a Boot of that machine in place instead of a build
+// (compare sim's BenchmarkNewMachine). The Close that puts the machine
+// back is not timed.
+func BenchmarkNewLabIdle(b *testing.B) {
+	drainIdle()
+	defer drainIdle()
+	NewLab(Options{Seed: 1, Quiet: true}).Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lab := NewLab(Options{Seed: int64(i), Quiet: true})
+		b.StopTimer()
+		lab.Close()
+		b.StartTimer()
+	}
+}
+
+// BenchmarkLabForkIdle measures Lab.Fork of a warmed lab while an idle
+// machine waits in the pool: a whole copy into that machine's arrays
+// instead of new ones (compare sim's BenchmarkMachineFork). The Close that
+// puts the machine back is not timed.
+func BenchmarkLabForkIdle(b *testing.B) {
+	drainIdle()
+	defer drainIdle()
+	tmpl := NewLab(Options{Seed: 1, Quiet: true})
+	tmpl.runSweepWarmup(4096)
+	buildLab(Options{Seed: 2, Quiet: true}).Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := tmpl.MustFork()
+		b.StopTimer()
+		f.Close()
+		b.StartTimer()
+	}
+}
 
 // BenchmarkV1TelemetryOff measures the full Variant-1 attack with telemetry
 // in its default state: phase accounting on (always), event recording off.

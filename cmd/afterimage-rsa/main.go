@@ -31,7 +31,11 @@ func main() {
 	if *fast {
 		opts.VictimIterationCycles = 6000
 	}
-	res := lab.ExtractRSAKey(opts)
+	res, err := lab.ExtractRSAKeyE(opts)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "afterimage-rsa: %v\n", err)
+		os.Exit(1)
+	}
 
 	fmt.Printf("machine:            %s\n", lab.ModelName())
 	fmt.Printf("key size:           %d-bit modulus, %d-bit private exponent\n", res.KeyBits, res.BitsTotal)

@@ -89,7 +89,7 @@ func TestHotPathDifferentialTable3(t *testing.T) {
 	opts := hotpathReportOptions()
 	got := map[string]string{}
 	for i, spec := range table3Specs(opts) {
-		val, err := runTable3Spec(context.Background(), table3LabOptions(opts, i, spec.key), spec)
+		val, err := runTable3Spec(context.Background(), table3LabOptions(opts, i, spec.key), spec, false)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.key, err)
 		}

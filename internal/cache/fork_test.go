@@ -170,7 +170,8 @@ func TestCacheForkAllPolicies(t *testing.T) {
 // that diverges and is then reset from its origin copies back only the
 // sets it dirtied, in place, and is again indistinguishable from a fresh
 // fork: same hash at rest, same hits and hashes under an identical stream,
-// clean audits. Resetting from a cache that is not the origin copies whole.
+// clean audits. Resetting from a cache that is not the origin copies whole,
+// into the level's own arrays.
 func TestCacheResetFromAllPolicies(t *testing.T) {
 	touch := func(c *Cache, p mem.PAddr) bool {
 		if c.Access(p) {
@@ -193,7 +194,7 @@ func TestCacheResetFromAllPolicies(t *testing.T) {
 				}
 			}
 			lines := &f.lines[0]
-			f.copyFrom(c)
+			f.copyFrom(c, true)
 			if &f.lines[0] != lines {
 				t.Fatal("reset from the origin did not copy in place")
 			}
@@ -211,10 +212,17 @@ func TestCacheResetFromAllPolicies(t *testing.T) {
 				t.Fatal("reset cache diverged from a fresh fork under an identical stream")
 			}
 
-			// ref is not f's origin: the reset copies every array.
-			f.copyFrom(ref)
-			if f.StateHash() != ref.StateHash() || f.origin != ref {
-				t.Fatal("whole-copy reset differs from its source")
+			// ref is not f's origin: the reset copies every array, in
+			// place, whether or not the caller asks for the dirty sets.
+			for _, dirtyOnly := range []bool{true, false} {
+				f.copyFrom(ref, dirtyOnly)
+				if f.StateHash() != ref.StateHash() || f.origin != ref {
+					t.Fatal("whole-copy reset differs from its source")
+				}
+				if &f.lines[0] != lines {
+					t.Fatal("whole-copy reset did not reuse the level's arrays")
+				}
+				randomOps(f, 5, 50)
 			}
 		})
 	}
@@ -275,7 +283,7 @@ func randomOps(c *Cache, seed int64, n int) []bool {
 // folds each clean set as the constructor state's zeros without reading
 // it, and Audit checks only the dirty sets. Under every replacement policy
 // the hash must equal that of the level's fork, which folds every set: at
-// construction, after random operations, and after copyFrom(nil), the
+// construction, after random operations, and after boot, the
 // reset to the constructor state, which must also hash like a new level
 // and behave like one (a Random set's source reseeded). A forked level
 // reset to the constructor state clears every set and passes the same
@@ -313,12 +321,12 @@ func TestBootedStateHashMatchesFork(t *testing.T) {
 			requireForkHash("new level", c)
 			randomOps(c, 1, 2000)
 			requireForkHash("after random operations", c)
-			c.copyFrom(nil)
+			c.boot()
 			requireNew("after a reset to the constructor state", c)
 
 			f := c.Fork()
 			randomOps(f, 2, 2000)
-			f.copyFrom(nil)
+			f.boot()
 			requireNew("forked level after a reset to the constructor state", f)
 		})
 	}

@@ -166,7 +166,7 @@ func (h *Hierarchy) Flush(p mem.PAddr) {
 func (h *Hierarchy) Contains(p mem.PAddr) bool { return h.Probe(p) != LevelDRAM }
 
 // levels returns the three levels, or three nils for a nil h: the
-// constructor state, as ResetFrom and AuditFrom read a nil source.
+// constructor state, as AuditFrom reads a nil source.
 func (h *Hierarchy) levels() [3]*Cache {
 	if h == nil {
 		return [3]*Cache{}

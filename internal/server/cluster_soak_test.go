@@ -69,25 +69,19 @@ func TestClusterSoak(t *testing.T) {
 	}
 
 	// ---- Coordinator. ----
-	serveAddr := freeAddr(t)
-	serve := exec.Command(serveBin,
-		"-addr", serveAddr,
-		"-store", filepath.Join(work, "store"),
-		"-checkpoints", filepath.Join(work, "checkpoints"),
-		"-max-campaigns", "4", "-queue", "8", "-tenant-quota", "8",
-		"-retry-after", "1s",
-		"-cluster",
-		"-cluster-heartbeat", "100ms",
-		"-cluster-evict-after", "500ms",
-		"-cluster-dispatch-rounds", "3",
-		"-cluster-dispatch-timeout", "10s",
-		"-cluster-hedge-after", "500ms",
-	)
-	serve.Stdout = os.Stderr
-	serve.Stderr = os.Stderr
-	if err := serve.Start(); err != nil {
-		t.Fatalf("start afterimage-serve: %v", err)
-	}
+	serve, serveAddr := startServer(t, serveBin, freeAddr(t), os.Stderr, func(addr string) []string {
+		return []string{"-addr", addr,
+			"-store", filepath.Join(work, "store"),
+			"-checkpoints", filepath.Join(work, "checkpoints"),
+			"-max-campaigns", "4", "-queue", "8", "-tenant-quota", "8",
+			"-retry-after", "1s",
+			"-cluster",
+			"-cluster-heartbeat", "100ms",
+			"-cluster-evict-after", "500ms",
+			"-cluster-dispatch-rounds", "3",
+			"-cluster-dispatch-timeout", "10s",
+			"-cluster-hedge-after", "500ms"}
+	})
 	defer func() {
 		serve.Process.Signal(syscall.SIGTERM)
 		done := make(chan struct{})
@@ -99,41 +93,17 @@ func TestClusterSoak(t *testing.T) {
 		}
 	}()
 	cl := client.New("http://" + serveAddr)
-	readyCtx, cancelReady := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancelReady()
-	if err := cl.WaitReady(readyCtx); err != nil {
-		t.Fatalf("serve never became ready: %v", err)
-	}
 
 	// ---- Three workers, all chaos-capable. ----
 	workers := make(map[string]*exec.Cmd, 3)
 	logs := make(map[string]*os.File, 3)
-	for _, id := range []string{"w1", "w2", "w3"} {
-		logf, err := os.Create(filepath.Join(work, id+".log"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		logs[id] = logf
-		cmd := exec.Command(workerBin,
-			"-addr", freeAddr(t),
-			"-id", id,
-			"-coordinator", "http://"+serveAddr,
-			"-checkpoints", filepath.Join(work, id+"-checkpoints"),
-			"-register-every", "200ms",
-			"-chaos",
-		)
-		cmd.Stdout = logf
-		cmd.Stderr = logf
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start worker %s: %v", id, err)
-		}
-		workers[id] = cmd
-	}
 	defer func() {
-		for id, cmd := range workers {
+		for _, cmd := range workers {
 			cmd.Process.Kill()
 			cmd.Wait()
-			logs[id].Close()
+		}
+		for _, logf := range logs {
+			logf.Close()
 		}
 		if t.Failed() {
 			for _, id := range []string{"w1", "w2", "w3"} {
@@ -143,6 +113,21 @@ func TestClusterSoak(t *testing.T) {
 			}
 		}
 	}()
+	for _, id := range []string{"w1", "w2", "w3"} {
+		logf, err := os.Create(filepath.Join(work, id+".log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs[id] = logf
+		workers[id], _ = startServer(t, workerBin, freeAddr(t), logf, func(addr string) []string {
+			return []string{"-addr", addr,
+				"-id", id,
+				"-coordinator", "http://" + serveAddr,
+				"-checkpoints", filepath.Join(work, id+"-checkpoints"),
+				"-register-every", "200ms",
+				"-chaos"}
+		})
+	}
 
 	healthyWorkers := func() int {
 		resp, err := http.Get("http://" + serveAddr + "/v1/cluster/workers")

@@ -71,24 +71,16 @@ func TestDiskChaosSoak(t *testing.T) {
 	cl := client.New("http://" + addr)
 	start := func() *exec.Cmd {
 		t.Helper()
-		cmd := exec.Command(bin,
-			"-addr", addr, "-store", storeDir, "-checkpoints", ckptDir,
-			"-max-campaigns", "2", "-queue", "8", "-tenant-quota", "8",
-			"-retry-after", "1s",
-			"-fs-chaos", "seed=7,enospc=0.10,eio=0.15,torn=0.08,rename=0.08",
-			"-store-budget", "1048576",
-			"-store-scrub-interval", "250ms",
-		)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start afterimage-serve: %v", err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := cl.WaitReady(ctx); err != nil {
-			t.Fatalf("server never became ready: %v", err)
-		}
+		var cmd *exec.Cmd
+		cmd, addr = startServer(t, bin, addr, os.Stderr, func(addr string) []string {
+			return []string{"-addr", addr, "-store", storeDir, "-checkpoints", ckptDir,
+				"-max-campaigns", "2", "-queue", "8", "-tenant-quota", "8",
+				"-retry-after", "1s",
+				"-fs-chaos", "seed=7,enospc=0.10,eio=0.15,torn=0.08,rename=0.08",
+				"-store-budget", "1048576",
+				"-store-scrub-interval", "250ms"}
+		})
+		cl.Base = "http://" + addr
 		return cmd
 	}
 

@@ -613,7 +613,11 @@ func (s *Server) executeLocal(ctx context.Context, key string, spec CampaignSpec
 // checkpoint are loaded instead of re-simulated, and the final bytes equal
 // an uninterrupted run's. Once the result is encoded, which supersedes the
 // checkpoint, the checkpoint is removed through ropts.FS (which must be
-// set), best-effort. The coordinator's local path and the worker both run
+// set), best-effort. The campaign lab is closed as soon as its phases are
+// read, before the checkpoint goes, so its machine waits in the library's
+// idle pool for the next campaign (afterimage.Lab.Close) and the close
+// does not lengthen the gap between removing the checkpoint and storing
+// the result. The coordinator's local path and the worker both run
 // campaigns through it, so their bytes are identical.
 func runSweep(ctx context.Context, spec CampaignSpec, ropts runner.Options) ([]byte, afterimage.SweepResult, []afterimage.PhaseSummary, error) {
 	lab, err := afterimage.NewLabE(spec.labOptions())
@@ -628,6 +632,8 @@ func runSweep(ctx context.Context, spec CampaignSpec, ropts runner.Options) ([]b
 	ropts.Resume = true
 	so.Runner = ropts
 	res, err := lab.RunFaultSweepCtx(ctx, so)
+	phases := lab.PhaseSummaries()
+	lab.Close()
 	if err != nil {
 		return nil, afterimage.SweepResult{}, nil, err
 	}
@@ -636,7 +642,7 @@ func runSweep(ctx context.Context, spec CampaignSpec, ropts runner.Options) ([]b
 		return nil, afterimage.SweepResult{}, nil, fmt.Errorf("encode result: %w", err)
 	}
 	ropts.FS.Remove(ropts.CheckpointPath)
-	return body, res, lab.PhaseSummaries(), nil
+	return body, res, phases, nil
 }
 
 // runCampaignDispatched routes the campaign through the cluster coordinator:

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -67,20 +68,13 @@ func TestServeSoak(t *testing.T) {
 	cl := client.New("http://" + addr)
 	start := func() *exec.Cmd {
 		t.Helper()
-		cmd := exec.Command(bin,
-			"-addr", addr, "-store", storeDir, "-checkpoints", ckptDir,
-			"-max-campaigns", "2", "-queue", "4", "-tenant-quota", "4",
-			"-retry-after", "1s")
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start afterimage-serve: %v", err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := cl.WaitReady(ctx); err != nil {
-			t.Fatalf("server never became ready: %v", err)
-		}
+		var cmd *exec.Cmd
+		cmd, addr = startServer(t, bin, addr, os.Stderr, func(addr string) []string {
+			return []string{"-addr", addr, "-store", storeDir, "-checkpoints", ckptDir,
+				"-max-campaigns", "2", "-queue", "4", "-tenant-quota", "4",
+				"-retry-after", "1s"}
+		})
+		cl.Base = "http://" + addr
 		return cmd
 	}
 
@@ -195,7 +189,41 @@ func TestServeSoak(t *testing.T) {
 	}
 }
 
-// freeAddr reserves an ephemeral localhost port and returns host:port.
+// TestStartServerRetriesTakenPort: a server started on a port another
+// listener holds exits before it is ready, and startServer starts it again
+// on a new port, which it returns.
+func TestStartServerRetriesTakenPort(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the real binary")
+	}
+	work := t.TempDir()
+	bin := filepath.Join(work, "afterimage-serve")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/afterimage-serve")
+	build.Dir = filepath.Join("..", "..")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build afterimage-serve: %v\n%s", err, out)
+	}
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	cmd, addr := startServer(t, bin, taken.Addr().String(), io.Discard, func(addr string) []string {
+		return []string{"-addr", addr, "-store", filepath.Join(work, "store"),
+			"-checkpoints", filepath.Join(work, "checkpoints")}
+	})
+	defer func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}()
+	if addr == taken.Addr().String() {
+		t.Fatalf("startServer returned the taken address %s", addr)
+	}
+}
+
+// freeAddr picks an ephemeral localhost port and returns host:port. Its
+// probe listener is closed before the caller's server binds the port, so
+// another process can take it in between; startServer recovers from that.
 func freeAddr(t *testing.T) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -205,6 +233,70 @@ func freeAddr(t *testing.T) string {
 	addr := l.Addr().String()
 	l.Close()
 	return addr
+}
+
+// startServer starts the server binary bin with args(addr), copying its
+// output to out, and waits up to 30 s for it to answer /healthz on addr.
+// When the server exits before it is ready because addr is already in use
+// (taken between freeAddr's probe and the server's bind), startServer picks
+// a new port and starts again, up to four more times, so callers must
+// re-point their clients at the address it returns.
+func startServer(t *testing.T, bin, addr string, out io.Writer, args func(addr string) []string) (*exec.Cmd, string) {
+	t.Helper()
+	for try := 0; ; try++ {
+		var logged lockedBuffer
+		cmd := exec.Command(bin, args(addr)...)
+		cmd.Stdout = out
+		cmd.Stderr = io.MultiWriter(out, &logged)
+		if err := cmd.Start(); err != nil {
+			t.Fatalf("start %s: %v", filepath.Base(bin), err)
+		}
+		cl := client.New("http://" + addr)
+		for deadline := time.Now().Add(30 * time.Second); ; {
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			err := cl.WaitReady(ctx)
+			cancel()
+			if err == nil {
+				return cmd, addr
+			}
+			if strings.Contains(logged.String(), "address already in use") {
+				break
+			}
+			if time.Now().After(deadline) {
+				cmd.Process.Kill()
+				cmd.Wait()
+				t.Fatalf("%s never became ready on %s: %v", filepath.Base(bin), addr, err)
+			}
+		}
+		cmd.Wait()
+		if try == 4 {
+			t.Fatalf("%s found its address in use %d times", filepath.Base(bin), try+1)
+		}
+		t.Logf("%s: %s was taken before the server bound it; retrying on a new port", filepath.Base(bin), addr)
+		addr = freeAddr(t)
+	}
+}
+
+// lockedBuffer keeps the first 64 KiB written to it, enough for a server's
+// start-up output, and is safe for one writer and one reader.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if room := 64<<10 - b.buf.Len(); room > 0 {
+		b.buf.Write(p[:min(len(p), room)])
+	}
+	return len(p), nil
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 // metricValue scrapes one registry counter from the live server's /metrics

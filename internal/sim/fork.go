@@ -32,10 +32,10 @@ import (
 // last-audit diagnostics — per-run harness attachments, installed by the
 // driver on whichever machine it runs.
 //
-// Fork and ResetFrom are the only ways machine state is copied, and they
-// share one body; ResetFrom(nil) shares NewMachineChecked's instead. Fork
-// refuses while the scheduler is mid-run: parked task goroutines hold
-// uncopyable state.
+// Fork allocates a new machine; ResetFrom copies into an existing one and
+// shares Fork's body, as Boot shares NewMachineChecked's. Fork refuses
+// while the scheduler is mid-run: parked task goroutines hold uncopyable
+// state.
 func (m *Machine) Fork() (*Machine, error) {
 	if m.sched.running {
 		return nil, &SimFault{
@@ -52,48 +52,37 @@ func (m *Machine) Fork() (*Machine, error) {
 
 // ResetFrom overwrites the receiver with a copy of t: afterwards it is
 // state-identical to t.Fork(), and the receiver's own processes, mappings,
-// Envs and harness attachments are gone. Only the cache hierarchy is reused
-// in place. When the receiver was last forked or reset from t and t has not
-// run since, each level copies back just the sets the receiver dirtied;
-// otherwise every level is copied whole. Everything else is rebuilt exactly
-// as Fork builds it. Sweeps use it to recycle one point machine per worker
-// instead of forking the template for every point attempt.
-//
-// A nil t is the constructor state: ResetFrom(nil) leaves the receiver
-// state-identical to NewMachine(m.Cfg). A level whose origin is nil clears
-// just the sets it dirtied since, any other level every set
-// (cache.Hierarchy.ResetFrom(nil)); the TLB and the jitter and noise RNGs
-// are cleared and reseeded in place, and the rest is rebuilt by the body
-// NewMachineChecked runs. Sweeps without a warmup recycle point machines
-// this way.
+// Envs and harness attachments are gone. Whatever the receiver held before
+// (another seed's machine, another geometry, a copy of another template),
+// its cache arrays are reused in place. When the receiver tracks t — it was
+// last forked or reset from t, and t has neither run nor been rewritten
+// since — each level copies back just the sets the receiver dirtied;
+// otherwise every level copies every set. Equal cache-level origin
+// pointers do not prove t unchanged once machines are recycled, so only
+// that machine-level check selects the dirty-set copy. Everything else is
+// rebuilt exactly as Fork builds it. Sweeps use it to recycle one point
+// machine per worker, and afterimage.Lab.Fork to copy into an idle
+// machine, instead of allocating one per copy.
 //
 // Machines forked or reset from the receiver see it as changed. It refuses
-// while either machine's scheduler is mid-run, and on t == m.
+// while either machine's scheduler is mid-run, on t == m and on a nil t;
+// Boot returns a machine to the constructor state.
 func (m *Machine) ResetFrom(t *Machine) error {
-	if m.sched.running || (t != nil && t.sched.running) || m == t {
+	if t == nil || m.sched.running || t.sched.running || m == t {
 		return &SimFault{
 			Kind: FaultAPIMisuse, Domain: DomainUser, Cycle: m.clock,
-			Msg: "ResetFrom during an active scheduler run or onto itself",
+			Msg: "ResetFrom without a source, during an active scheduler run or onto itself",
 		}
 	}
-	if t == nil {
-		m.Mem.ResetFrom(nil)
-		return m.boot(m.Cfg, m.Mem)
-	}
-	h := m.Mem
-	if m.tracks(t) {
-		h.ResetFrom(t.Mem)
-	} else {
-		h = t.Mem.Fork()
-	}
-	return m.copyFrom(t, h)
+	m.Mem.ResetFrom(t.Mem, m.tracks(t))
+	return m.copyFrom(t, m.Mem)
 }
 
 // tracks reports whether t is the machine m was last forked or reset from
 // and t has not changed since: its clock has not moved and it has not been
-// reset itself. Every operation that writes t's caches advances t's clock,
-// and every boot or copy bumps t's copies, so while this holds, the cache
-// sets m did not dirty still equal t's.
+// booted or reset itself. Every operation that writes t's caches advances
+// t's clock, and every boot or copy bumps t's copies, so while this holds,
+// the cache sets m did not dirty still equal t's.
 func (m *Machine) tracks(t *Machine) bool {
 	return t != nil && m.origin == t && m.originClock == t.clock && m.originCopies == t.copies
 }

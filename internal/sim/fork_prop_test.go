@@ -271,7 +271,7 @@ func runForkIsolation(seed int64, programs []forkProgram) (int, string) {
 	// the dirty sets.
 	rebooted := newForkRig(seed).m
 	for i, prog := range programs {
-		if err := rebooted.ResetFrom(nil); err != nil {
+		if err := rebooted.Boot(rebooted.Cfg); err != nil {
 			return i, "reboot refused: " + err.Error()
 		}
 		rr := bootForkRig(rebooted)
@@ -286,6 +286,29 @@ func runForkIsolation(seed int64, programs []forkProgram) (int, string) {
 		}
 		if err := rebooted.Audit(); err != nil {
 			return i, fmt.Sprintf("rebooted machine on program %d failed final audit: %v", i, err)
+		}
+	}
+
+	// Cross-seed boot arm: one machine built for another seed runs each
+	// program twice, first booted to that seed's Quiet config and then
+	// booted to this seed's — the way an idle machine of the lab pool is
+	// booted to whichever campaign takes it next.
+	crossed := NewMachine(CoffeeLake(seed + 2000))
+	for i, prog := range programs {
+		for _, cfg := range []Config{Quiet(CoffeeLake(seed + 2000)), parent.m.Cfg} {
+			if err := crossed.Boot(cfg); err != nil {
+				return i, "cross-seed boot refused: " + err.Error()
+			}
+			cr := bootForkRig(crossed)
+			for _, op := range prog {
+				cr.exec(op)
+			}
+		}
+		if got := crossed.StateHash(); got != want[i] {
+			return i, fmt.Sprintf("machine booted across seeds on program %d hash %#016x, solo fresh run %#016x", i, got, want[i])
+		}
+		if err := crossed.Audit(); err != nil {
+			return i, fmt.Sprintf("machine booted across seeds on program %d failed final audit: %v", i, err)
 		}
 	}
 

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"afterimage/internal/cache"
 	"afterimage/internal/detrand"
@@ -101,8 +103,16 @@ type Machine struct {
 
 	// tel is the machine's observability hub: registry samplers over every
 	// component's counters, the (off-by-default) event bus, and phase spans.
-	tel     *telemetry.Hub
-	latHist *telemetry.Histogram // demand-load latency distribution
+	tel *telemetry.Hub
+
+	// The mem.load.latency histogram of demand loads, in plain fields:
+	// only the machine's own goroutine writes them, and the registry reads
+	// them at rest through a sampler, like every other machine counter.
+	// latBounds are the ascending bucket upper bounds, latCounts holds one
+	// count per bucket plus the overflow bucket, and latSum the sum.
+	latBounds [5]uint64
+	latCounts [6]uint64
+	latSum    uint64
 
 	// auditEvery enables the audit cadence: a full Audit every N domain
 	// switches (0 = disabled). sinceAudit counts switches since the last one.
@@ -133,10 +143,10 @@ type Machine struct {
 	syscallCount   uint64
 
 	// origin is the machine this one was last forked or reset from (nil
-	// after a boot or a ResetFrom(nil)), and originClock and originCopies
-	// were origin's clock and copies then. copies counts how often a boot,
-	// Fork or ResetFrom wrote this machine, so a reset source whose clock
-	// returns to an earlier value still reads as changed.
+	// after a boot), and originClock and originCopies were origin's clock
+	// and copies then. copies counts how often a boot, Fork or ResetFrom
+	// wrote this machine, so a reset source whose clock returns to an
+	// earlier value still reads as changed.
 	origin       *Machine
 	originClock  uint64
 	originCopies uint64
@@ -172,6 +182,9 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: invalid hierarchy: %w", err)
 	}
+	if err := validIPStride(cfg); err != nil {
+		return nil, err
+	}
 	m := &Machine{}
 	if err := m.boot(cfg, h); err != nil {
 		return nil, err
@@ -179,14 +192,48 @@ func NewMachineChecked(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// boot is the body of NewMachineChecked and ResetFrom(nil): it overwrites m
-// with a machine built from cfg around h, a hierarchy in its constructor
-// state. A TLB and jitter and noise RNGs that m already holds are returned
-// to their constructor state in place rather than built anew.
-func (m *Machine) boot(cfg Config, h *cache.Hierarchy) error {
+// Boot returns the machine to the state NewMachine(cfg) builds, in place,
+// whatever it ran before: another seed, Quiet or mitigation settings,
+// injected faults or planted corruption. The cache arrays, the TLB and the
+// jitter and noise RNGs are kept and cleared or reseeded; the rest is
+// rebuilt by NewMachineChecked's own body. A cache level whose origin is
+// nil clears only the sets it dirtied since it was booted, any other level
+// every set (cache.Hierarchy.Boot). Sweeps without a warmup recycle point
+// machines this way, and afterimage.NewLab boots an idle machine instead
+// of building one.
+//
+// Machines forked or reset from the receiver see it as changed. Boot
+// refuses while the scheduler is mid-run, and when cfg's hierarchy or TLB
+// configuration differs from the machine's (a Haswell config on a Coffee
+// Lake machine): their arrays are what Boot keeps. It rejects an invalid
+// IP-stride config before touching the machine.
+func (m *Machine) Boot(cfg Config) error {
+	if m.sched.running || cfg.Hierarchy != m.Cfg.Hierarchy || cfg.TLB != m.Cfg.TLB {
+		return &SimFault{
+			Kind: FaultAPIMisuse, Domain: DomainUser, Cycle: m.clock,
+			Msg: fmt.Sprintf("Boot of %q on a %q machine during an active scheduler run or onto another cache or TLB geometry", cfg.Name, m.Cfg.Name),
+		}
+	}
+	if err := validIPStride(cfg); err != nil {
+		return err
+	}
+	m.Mem.Boot()
+	return m.boot(cfg, m.Mem)
+}
+
+// validIPStride checks the part of cfg the hierarchy constructor does not.
+func validIPStride(cfg Config) error {
 	if err := cfg.IPStride.Validate(); err != nil {
 		return fmt.Errorf("sim: invalid IP-stride config: %w", err)
 	}
+	return nil
+}
+
+// boot is the body of NewMachineChecked and Boot: it overwrites m with a
+// machine built from cfg around h, a hierarchy in its constructor state. A
+// TLB and jitter and noise RNGs that m already holds are returned to their
+// constructor state in place rather than built anew.
+func (m *Machine) boot(cfg Config, h *cache.Hierarchy) error {
 	suite := &prefetcher.Suite{
 		IPStride: prefetcher.NewIPStride(cfg.IPStride),
 		DCU:      &prefetcher.DCU{Enabled: cfg.DCUEnabled},
@@ -250,10 +297,40 @@ func (m *Machine) newTelemetry() {
 	// Bucket bounds straddle the configured level latencies and the hit/miss
 	// threshold, so the histogram separates L1/L2/LLC/DRAM populations.
 	cfg := m.Cfg
-	m.latHist = reg.Histogram("mem.load.latency", []uint64{
+	m.latBounds = [5]uint64{
 		cfg.Hierarchy.Lat.L1 + 1, cfg.Hierarchy.Lat.L2 + 1, cfg.Hierarchy.Lat.LLC + 1,
 		cfg.Measure.HitThreshold, cfg.Hierarchy.Lat.DRAM + cfg.TLB.WalkLatency + 1,
-	})
+	}
+	slices.Sort(m.latBounds[:])
+	reg.RegisterHistogramFunc("mem.load.latency", m.latencySnapshot)
+}
+
+// observeLatency counts one demand-load latency into the first bucket whose
+// bound is >= v, as telemetry.Histogram.Observe does. The bounds ascend, so
+// that bucket's index is the number of bounds below v: the sum of five
+// borrows, each 1 exactly when its bound is below v, with no branch.
+func (m *Machine) observeLatency(v uint64) {
+	b := &m.latBounds
+	_, c0 := bits.Sub64(b[0], v, 0)
+	_, c1 := bits.Sub64(b[1], v, 0)
+	_, c2 := bits.Sub64(b[2], v, 0)
+	_, c3 := bits.Sub64(b[3], v, 0)
+	_, c4 := bits.Sub64(b[4], v, 0)
+	m.latCounts[c0+c1+c2+c3+c4]++
+	m.latSum += v
+}
+
+// latencySnapshot reads the load-latency histogram for the registry.
+func (m *Machine) latencySnapshot() telemetry.HistogramSnapshot {
+	s := telemetry.HistogramSnapshot{
+		Bounds: append([]uint64(nil), m.latBounds[:]...),
+		Counts: append([]uint64(nil), m.latCounts[:]...),
+		Sum:    m.latSum,
+	}
+	for _, c := range m.latCounts {
+		s.Count += c
+	}
+	return s
 }
 
 // Telemetry returns the machine's observability hub.
@@ -376,7 +453,7 @@ func (m *Machine) load(ip uint64, v mem.VAddr, pid int, as *mem.AddressSpace) ui
 	tlbHit, walk := m.TLB.Lookup(as.ID, v)
 	level, lat := m.Mem.Load(pa)
 	latency := lat + walk + 1 // +1 issue cycle
-	m.latHist.Observe(latency)
+	m.observeLatency(latency)
 	if m.tel.TraceEnabled() {
 		if !tlbHit {
 			m.tel.Emit(telemetry.Event{Kind: telemetry.EvTLBMiss, Arg1: walk})

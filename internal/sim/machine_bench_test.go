@@ -154,7 +154,7 @@ func bootedPoint(m *Machine) {
 }
 
 // BenchmarkMachineReboot measures the per-point reset a sweep without a
-// warmup pays: ResetFrom(nil) after bootedPoint, which clears only the
+// warmup pays: Boot(m.Cfg) after bootedPoint, which clears only the
 // dirtied cache sets, clears the TLB and reseeds the RNGs in place, and
 // rebuilds the other small components. Compare it with
 // BenchmarkMachineResetFrom and BenchmarkNewMachine.
@@ -166,7 +166,7 @@ func BenchmarkMachineReboot(b *testing.B) {
 		b.StopTimer()
 		bootedPoint(m)
 		b.StartTimer()
-		if err := m.ResetFrom(nil); err != nil {
+		if err := m.Boot(m.Cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,10 +6,10 @@ import (
 )
 
 // Reset suite: ResetFrom must leave the receiver state-identical to a fork
-// of its source, on the dirty-set path and on both whole-copy fallbacks,
-// ResetFrom(nil) must leave it state-identical to a new machine, and Audit
-// must scope itself so that its dirty-set audits report exactly what a full
-// audit reports.
+// of its source, on the dirty-set path and on every whole-copy fallback,
+// in the receiver's own arrays; Boot must leave it state-identical to a new
+// machine of the config it is given; and Audit must scope itself so that
+// its dirty-set audits report exactly what a full audit reports.
 
 // resetProgram runs a fixed, seed-derived program on a machine rebound to
 // the fork-property rig: loads, batches, flushes, syscalls and enclave calls
@@ -64,22 +64,30 @@ func TestResetFromDirtySetsMatchesFork(t *testing.T) {
 
 // TestResetFromFallsBackToWholeCopy: the dirty-set path is taken only while
 // the source is the receiver's origin and has not changed since. A
-// different source, a source whose clock moved and a source that was reset
-// itself all get a whole copy, and each result matches a fork.
+// different source, a source whose clock moved, a source that was reset
+// itself and a source that was booted and rewritten under the receiver's
+// cache-level origin pointers all get a whole copy, into the receiver's
+// own arrays, and each result matches a fork.
 func TestResetFromFallsBackToWholeCopy(t *testing.T) {
+	// requireInPlace resets m from src and checks that the copy reused m's
+	// hierarchy and levels.
+	requireInPlace := func(t *testing.T, m, src *Machine) {
+		t.Helper()
+		h, l1, l2, llc := m.Mem, m.Mem.L1, m.Mem.L2, m.Mem.LLC
+		if err := m.ResetFrom(src); err != nil {
+			t.Fatal(err)
+		}
+		if m.Mem != h || m.Mem.L1 != l1 || m.Mem.L2 != l2 || m.Mem.LLC != llc {
+			t.Fatal("a whole-copy reset must reuse the receiver's arrays")
+		}
+	}
 	t.Run("other-source", func(t *testing.T) {
 		rig := newForkRig(5)
 		other := rig.m.MustFork()
 		resetProgram(t, rig, other, 21)
 		m := rig.m.MustFork()
 		resetProgram(t, rig, m, 22)
-		h := m.Mem
-		if err := m.ResetFrom(other); err != nil {
-			t.Fatal(err)
-		}
-		if m.Mem == h {
-			t.Fatal("reset from a non-origin reused the hierarchy")
-		}
+		requireInPlace(t, m, other)
 		requireSameAsFork(t, rig, m, other)
 	})
 	t.Run("source-clock-moved", func(t *testing.T) {
@@ -88,14 +96,34 @@ func TestResetFromFallsBackToWholeCopy(t *testing.T) {
 		m := src.MustFork()
 		resetProgram(t, rig, m, 31)
 		resetProgram(t, rig, src, 32)
-		h := m.Mem
-		if err := m.ResetFrom(src); err != nil {
+		requireInPlace(t, m, src)
+		requireSameAsFork(t, rig, m, src)
+	})
+	t.Run("source-booted-under-the-receivers-levels", func(t *testing.T) {
+		// Recycled machines: y is a copy of x, so y's cache levels name x's
+		// as their origin. Then x is booted in place, keeping those levels,
+		// and warmed anew — a closed template reused as the next
+		// campaign's — while y still holds the sets it dirtied. The equal
+		// origin pointers no longer mean x is unchanged: only a whole copy
+		// gives y x's new state.
+		rig := newForkRig(8)
+		x := rig.m.MustFork()
+		y := x.MustFork()
+		resetProgram(t, rig, y, 61)
+		xh := x.Mem
+		if err := x.Boot(x.Cfg); err != nil {
 			t.Fatal(err)
 		}
-		if m.Mem == h {
-			t.Fatal("reset from a source that ran reused the hierarchy")
+		if x.Mem != xh {
+			t.Fatal("test premise: Boot did not keep the source's hierarchy")
 		}
-		requireSameAsFork(t, rig, m, src)
+		xr := bootForkRig(x)
+		resetProgram(t, xr, x, 62)
+		if y.tracks(x) {
+			t.Fatal("a copy still tracks a source that was booted and ran")
+		}
+		requireInPlace(t, y, x)
+		requireSameAsFork(t, xr, y, x)
 	})
 	t.Run("source-reset", func(t *testing.T) {
 		// A reset can return a source's clock to the value the receiver
@@ -120,7 +148,7 @@ func TestResetFromFallsBackToWholeCopy(t *testing.T) {
 }
 
 // TestResetFromRefused: ResetFrom refuses while either machine's scheduler
-// is mid-run, and onto the receiver itself.
+// is mid-run, onto the receiver itself and without a source.
 func TestResetFromRefused(t *testing.T) {
 	m := NewMachine(Quiet(CoffeeLake(3)))
 	other := m.MustFork()
@@ -136,20 +164,19 @@ func TestResetFromRefused(t *testing.T) {
 	if fromRunning == nil {
 		t.Error("ResetFrom from a running machine did not refuse")
 	}
-	for _, err := range []error{intoRunning, fromRunning, m.ResetFrom(m)} {
+	for _, err := range []error{intoRunning, fromRunning, m.ResetFrom(m), m.ResetFrom(nil)} {
 		if f, ok := AsFault(err); !ok || f.Kind != FaultAPIMisuse {
 			t.Errorf("refusal %v, want an API-misuse SimFault", err)
 		}
 	}
 }
 
-// TestReboot: ResetFrom(nil) returns a machine to the state
-// NewMachine(m.Cfg) builds, in place, from a booted history and from a
-// forked one. The rebooted machine hashes like a new machine and like its
-// own fork, whose hash folds every cache set, audits clean, and still
-// matches the new machine after both run the same program. A fork taken
-// before the reboot no longer tracks the machine. ResetFrom(nil) refuses
-// mid-run.
+// TestReboot: Boot(m.Cfg) returns a machine to the state NewMachine(m.Cfg)
+// builds, in place, from a booted history and from a forked one. The
+// rebooted machine hashes like a new machine and like its own fork, whose
+// hash folds every cache set, audits clean, and still matches the new
+// machine after both run the same program. A fork taken before the reboot
+// no longer tracks the machine. Boot refuses mid-run.
 func TestReboot(t *testing.T) {
 	const seed = 8
 	booted := newForkRig(seed)
@@ -160,7 +187,7 @@ func TestReboot(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			child := m.MustFork()
 			h, tl := m.Mem, m.TLB
-			if err := m.ResetFrom(nil); err != nil {
+			if err := m.Boot(m.Cfg); err != nil {
 				t.Fatal(err)
 			}
 			if m.Mem != h || m.TLB != tl {
@@ -195,10 +222,10 @@ func TestReboot(t *testing.T) {
 	t.Run("refused-mid-run", func(t *testing.T) {
 		m := NewMachine(Quiet(CoffeeLake(3)))
 		var err error
-		m.Spawn(m.NewProcess("p"), "t", func(e *Env) { err = m.ResetFrom(nil) })
+		m.Spawn(m.NewProcess("p"), "t", func(e *Env) { err = m.Boot(m.Cfg) })
 		m.Run()
 		if f, ok := AsFault(err); !ok || f.Kind != FaultAPIMisuse {
-			t.Fatalf("ResetFrom(nil) inside a scheduler run: %v, want an API-misuse SimFault", err)
+			t.Fatalf("Boot inside a scheduler run: %v, want an API-misuse SimFault", err)
 		}
 	})
 }

@@ -67,8 +67,11 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Histogram is a fixed-bucket latency histogram: observations are counted
 // into the first bucket whose upper bound is >= the value, with one implicit
 // overflow bucket. Bounds are fixed at construction, so Observe is a short
-// linear scan plus three atomic adds — cheap enough for the simulator's
-// per-load hot path. Observe on a nil *Histogram does nothing.
+// linear scan plus three atomic adds, safe from any goroutine: the shape
+// the server's shared histograms need. A histogram only one goroutine
+// writes, like a machine's load latencies, keeps plain counts instead and
+// registers them with Registry.RegisterHistogramFunc. Observe on a nil
+// *Histogram does nothing.
 type Histogram struct {
 	bounds []uint64
 	counts []atomic.Uint64 // len(bounds)+1, last = overflow

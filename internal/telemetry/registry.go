@@ -14,11 +14,12 @@ import (
 // while still exposing every component counter under one namespace
 // (cache.l1.hits, prefetcher.ipstride.trains, sched.switches, ...).
 type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	funcs    map[string]func() uint64
+	mu        sync.RWMutex
+	counters  map[string]*Counter
+	gauges    map[string]*Gauge
+	hists     map[string]*Histogram
+	funcs     map[string]func() uint64
+	histFuncs map[string]func() HistogramSnapshot
 }
 
 // ValidSegment reports whether s is safe as one segment of a dotted metric
@@ -42,10 +43,11 @@ func ValidSegment(s string) bool {
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		funcs:    make(map[string]func() uint64),
+		counters:  make(map[string]*Counter),
+		gauges:    make(map[string]*Gauge),
+		hists:     make(map[string]*Histogram),
+		funcs:     make(map[string]func() uint64),
+		histFuncs: make(map[string]func() HistogramSnapshot),
 	}
 }
 
@@ -95,6 +97,17 @@ func (r *Registry) RegisterFunc(name string, fn func() uint64) {
 	r.funcs[name] = fn
 }
 
+// RegisterHistogramFunc installs a histogram pull-sampler: fn is invoked at
+// snapshot time and its snapshot reported under name, beside the owned
+// histograms. A component whose histogram only its own goroutine writes
+// keeps plain counts and exposes them this way instead of paying
+// Histogram's atomic adds. Registering a name twice replaces the sampler.
+func (r *Registry) RegisterHistogramFunc(name string, fn func() HistogramSnapshot) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.histFuncs[name] = fn
+}
+
 // Snapshot is a point-in-time copy of every registered metric. Sampled
 // (RegisterFunc) and owned counters share the Counters namespace.
 type Snapshot struct {
@@ -112,7 +125,7 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]uint64, len(r.counters)+len(r.funcs)),
 		Gauges:     make(map[string]int64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
+		Histograms: make(map[string]HistogramSnapshot, len(r.hists)+len(r.histFuncs)),
 	}
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
@@ -125,6 +138,9 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = h.snapshot()
+	}
+	for name, fn := range r.histFuncs {
+		s.Histograms[name] = fn()
 	}
 	return s
 }

@@ -1,11 +1,11 @@
 package tlb
 
 // Fork and reset support: deep-copy the TLB for Machine.Fork, or return it
-// to its constructor state for Machine.ResetFrom(nil). Forked address
-// spaces get fresh ASIDs (the allocator is process-global), so the copied
-// entries must be re-tagged from parent ASIDs to the fork's — otherwise the
-// warmed translations would be invisible to the forked processes and the
-// fork's first loads would take page walks the parent didn't.
+// to its constructor state for Machine.Boot. Forked address spaces get
+// fresh ASIDs (the allocator is process-global), so the copied entries must
+// be re-tagged from parent ASIDs to the fork's — otherwise the warmed
+// translations would be invisible to the forked processes and the fork's
+// first loads would take page walks the parent didn't.
 
 // fork deep-copies one translation array, rewriting the ASID of every
 // VALID entry through remap. Invalid slots keep their stale tags verbatim

@@ -93,8 +93,10 @@ func (o V2Options) Validate() error {
 
 // Validate rejects out-of-range RSA-extraction configuration.
 func (o RSAOptions) Validate() error {
-	if o.KeyBits != 0 && (o.KeyBits < 16 || o.KeyBits > 4096) {
-		return optErr("RSAOptions", "KeyBits", o.KeyBits, "16..4096 (0 means default 128)")
+	// The sizes rsa.GenerateKey builds: even (two primes of KeyBits/2),
+	// at least 32.
+	if o.KeyBits != 0 && (o.KeyBits < 32 || o.KeyBits > 4096 || o.KeyBits%2 != 0) {
+		return optErr("RSAOptions", "KeyBits", o.KeyBits, "even, 32..4096 (0 means default 128)")
 	}
 	if o.ItersPerBit < 0 {
 		return optErr("RSAOptions", "ItersPerBit", o.ItersPerBit, ">= 1 (0 means default 5)")

@@ -122,7 +122,7 @@ func ReplayTable3(ctx context.Context, opts ReportOptions, stem string) (*Replay
 			rep.addSkip(spec.key, "no recorded state hash (checkpoint predates auditing)")
 			continue
 		}
-		fresh, rerr := runTable3Spec(ctx, table3LabOptions(opts, i, spec.key), spec)
+		fresh, rerr := runTable3Spec(ctx, table3LabOptions(opts, i, spec.key), spec, true)
 		note := ""
 		if rerr != nil {
 			note = "replay faulted: " + rerr.Error()

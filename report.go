@@ -179,12 +179,20 @@ func table3LabOptions(opts ReportOptions, i int, key string) Options {
 	return labOpts
 }
 
-// runTable3Spec boots a fresh lab and executes one Table 3 experiment:
-// attack, then a final invariant audit (silent state corruption becomes a
-// typed FaultCorruption), then the full-state hash for replay comparison.
-// The replay harness calls this directly to re-derive a checkpoint's values.
-func runTable3Spec(ctx context.Context, labOpts Options, spec table3Spec) (table3Val, error) {
-	lab := NewLab(labOpts)
+// runTable3Spec boots a lab and executes one Table 3 experiment: attack,
+// then a final invariant audit (silent state corruption becomes a typed
+// FaultCorruption), then the full-state hash for replay comparison, and
+// closes the lab. The campaign boots an idle machine when one waits
+// (NewLab); the replay harness calls this directly with fresh set, to
+// re-derive a checkpoint's values on a machine built from nothing.
+func runTable3Spec(ctx context.Context, labOpts Options, spec table3Spec, fresh bool) (table3Val, error) {
+	var lab *Lab
+	if fresh {
+		lab = buildLab(labOpts)
+	} else {
+		lab = NewLab(labOpts)
+	}
+	defer lab.Close()
 	lab.ArmCancel(ctx)
 	val, err := spec.run(ctx, lab)
 	if err == nil {
@@ -205,7 +213,7 @@ func table3Jobs(opts ReportOptions) []runner.Job {
 		jobs[i] = runner.Job{
 			Key: t.key,
 			Run: func(jctx context.Context, _ int) (any, error) {
-				return runTable3Spec(jctx, labOpts, t)
+				return runTable3Spec(jctx, labOpts, t, false)
 			},
 		}
 	}
@@ -281,6 +289,7 @@ func FullReportCtx(ctx context.Context, opts ReportOptions) (*Report, error) {
 	}
 	r.ReverseEngineering.Fig8bBitPLRUMatching = match8b
 	r.ReverseEngineering.SGXRetention, _ = q.SGXRetention()
+	q.Close()
 
 	// Attack success rates (noisy machines, fresh lab per experiment) and the
 	// covert channel — Table 3 — as supervised jobs. Seeds match the historic
@@ -329,6 +338,7 @@ func FullReportCtx(ctx context.Context, opts ReportOptions) (*Report, error) {
 	r.RSA.PSCObservation = rr.PSCSuccessRate()
 	perBit := rsaLab.Seconds(rr.Cycles) / float64(rr.BitsTotal)
 	r.RSA.Minutes1024Budget = perBit * 1024 / 60
+	rsaLab.Close()
 
 	// Power.
 	r.Power.AlignedFinalT = RunTTest(true, opts.Seed).FinalT()

@@ -47,6 +47,18 @@ func TestOptionValidationTyped(t *testing.T) {
 			_, err := lab().ExtractRSAKeyE(RSAOptions{KeyBits: 8})
 			return err
 		}, "RSAOptions", "KeyBits"},
+		{"rsa-key-below-generator-minimum", func() error {
+			_, err := lab().ExtractRSAKeyE(RSAOptions{KeyBits: 16})
+			return err
+		}, "RSAOptions", "KeyBits"},
+		{"rsa-odd-key-31", func() error {
+			_, err := lab().ExtractRSAKeyE(RSAOptions{KeyBits: 31})
+			return err
+		}, "RSAOptions", "KeyBits"},
+		{"rsa-odd-key-33", func() error {
+			_, err := lab().ExtractRSAKeyE(RSAOptions{KeyBits: 33})
+			return err
+		}, "RSAOptions", "KeyBits"},
 		{"sweep-negative-intensity", func() error {
 			_, err := lab().RunFaultSweepCtx(context.Background(), SweepOptions{Intensities: []float64{0, -1}})
 			return err
@@ -70,6 +82,21 @@ func TestOptionValidationTyped(t *testing.T) {
 				t.Fatalf("error names %s.%s, want %s.%s", oe.Struct, oe.Field, tc.strct, tc.field)
 			}
 		})
+	}
+}
+
+// TestRSAKeyBitsAcceptsGeneratorSizes: the even sizes at both ends of the
+// range the key generator builds pass validation, and the smallest one
+// runs end to end.
+func TestRSAKeyBitsAcceptsGeneratorSizes(t *testing.T) {
+	for _, bits := range []int{0, 32, 4096} {
+		if err := (RSAOptions{KeyBits: bits}).Validate(); err != nil {
+			t.Errorf("KeyBits %d rejected: %v", bits, err)
+		}
+	}
+	lab := NewLab(Options{Seed: 1, Quiet: true})
+	if _, err := lab.ExtractRSAKeyE(RSAOptions{KeyBits: 32, ItersPerBit: 1}); err != nil {
+		t.Fatalf("KeyBits 32: %v", err)
 	}
 }
 

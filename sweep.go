@@ -160,13 +160,16 @@ func (r SweepResult) JSON() ([]byte, error) {
 // clearing only the cache sets the previous attempt dirtied. With a
 // warmup, the start is one warmed campaign template, and a reset lab is
 // state-identical to a fresh fork of it; without one there is no template,
-// and a reset lab is state-identical to a fresh boot. A traced lab traces
-// every point lab with its own ring capacity and absorbs their events in
-// point order, counting them into its own phases; tracing changes no result
-// byte. The
-// whole curve is a pure function of the options and the lab seed —
-// rerunning with the same seed reproduces it point for point, regardless
-// of worker count or checkpoint resume.
+// and a reset lab is state-identical to a fresh boot. The template and the
+// point labs take idle machines from the process-wide pool when it holds
+// any, and the sweep closes them into it when it returns (see Lab.Close),
+// so back-to-back campaigns reuse machines instead of building them. A
+// traced lab traces every point lab with its own ring capacity and absorbs
+// their events in point order, counting them into its own phases; tracing
+// changes no result byte. The whole curve is a pure function of the
+// options and the lab seed — rerunning with the same seed reproduces it
+// point for point, regardless of worker count, checkpoint resume or which
+// machines the pool handed out.
 func (l *Lab) RunFaultSweep(o SweepOptions) SweepResult {
 	res, _ := l.RunFaultSweepCtx(context.Background(), o)
 	return res
@@ -183,12 +186,12 @@ func (l *Lab) RunFaultSweepCtx(ctx context.Context, o SweepOptions) (SweepResult
 	return l.runFaultSweep(ctx, o, false)
 }
 
-// runFaultSweep is RunFaultSweepCtx with fresh set to boot and warm every
-// point attempt from scratch, from a pointLabs with no pool and no
-// template, instead of recycling point labs. The two are bit-identical
-// point for point and share one fingerprint; the fresh boot is the
-// reference the fork-vs-fresh differential tests and BenchmarkSweepFresh
-// compare the pooled campaign against.
+// runFaultSweep is RunFaultSweepCtx with fresh set to build and warm every
+// point attempt's lab from nothing, from a pointLabs with no pool and no
+// template, instead of recycling point labs and idle machines. The two are
+// bit-identical point for point and share one fingerprint; the fresh build
+// is the reference the fork-vs-fresh differential tests and
+// BenchmarkSweepFresh compare the pooled campaign against.
 func (l *Lab) runFaultSweep(ctx context.Context, o SweepOptions, fresh bool) (SweepResult, error) {
 	if err := o.Validate(); err != nil {
 		return SweepResult{Attack: o.Attack.String(), Model: l.ModelName()}, err
@@ -199,16 +202,16 @@ func (l *Lab) runFaultSweep(ctx context.Context, o SweepOptions, fresh bool) (Sw
 	// lab per configuration, audited once, and copied for every point
 	// attempt. The template is never run, so concurrent copies from
 	// parallel workers are concurrent reads. Without a warmup there is no
-	// prefix to share, and point labs are booted instead. One idle lab per
-	// runner worker: at most that many attempts run at once, so a larger
-	// pool would only hold memory.
+	// prefix to share, and point labs are booted instead. One pooled lab
+	// per runner worker: at most that many attempts run at once, so a
+	// larger pool would only hold memory.
 	labs := &pointLabs{opts: labOpts, warmup: o.Warmup}
 	if !fresh {
+		labs.pool = make(chan *Lab, max(1, o.Runner.Workers))
 		if o.Warmup > 0 {
 			labs.tmpl = labs.get()
 			labs.tmpl.m.Audit() // stamps the result, which scopes every point's audit
 		}
-		labs.pool = make(chan *Lab, max(1, o.Runner.Workers))
 	}
 
 	// A traced campaign traces every point attempt with the parent's ring
@@ -248,6 +251,7 @@ func (l *Lab) runFaultSweep(ctx context.Context, o SweepOptions, fresh bool) (Sw
 	ropts.Fingerprint = sweepFingerprint(labOpts, o)
 
 	jrs, rerr := runner.Run(ctx, jobs, ropts)
+	labs.close()
 
 	res := SweepResult{Attack: o.Attack.String(), Model: l.ModelName()}
 	tel := l.m.Telemetry()
@@ -389,13 +393,17 @@ func hasCorruptionHistory(history []string) bool {
 
 // pointLabs hands out the labs a campaign's point attempts run on, each at
 // the campaign's start: a copy of the warmed template when tmpl is set,
-// else a fresh boot that has run the warmup. A pooled lab is reset to that
-// start in place (resetFrom(tmpl), a nil tmpl being the constructor
-// state); without one, get forks the template or boots NewLab(opts) and
-// runs the warmup. A campaign with a warmup pools labs only once it has a
-// template, so a reset never skips the warmup. The template itself, the
-// fresh reference and the replay harness take their labs from a pointLabs
-// with no pool and no template.
+// else a booted lab that has run the warmup. A lab in the campaign's pool
+// is reset to that start in place (resetFrom(tmpl), a nil tmpl meaning a
+// boot); the pool's labs track the template, so their resets copy back
+// only the cache sets the last attempt dirtied. Without a pooled lab, get
+// forks the template or calls NewLab(opts) and runs the warmup, and both
+// reuse an idle machine of the process-wide pool when one waits (see
+// Lab.Close). A campaign with a warmup pools labs only once it has a
+// template, so a reset never skips the warmup. close hands the pooled labs
+// and the template to the process-wide pool when the campaign is done. A
+// pointLabs without a pool is the fresh reference and the replay harness:
+// it builds every lab, template-free, from nothing (buildLab).
 type pointLabs struct {
 	opts   Options
 	warmup int
@@ -405,6 +413,11 @@ type pointLabs struct {
 
 // get returns a lab at the campaign's start.
 func (p *pointLabs) get() *Lab {
+	if p.pool == nil {
+		lab := buildLab(p.opts)
+		lab.runSweepWarmup(p.warmup)
+		return lab
+	}
 	select {
 	case lab := <-p.pool:
 		if lab.resetFrom(p.tmpl) == nil {
@@ -420,12 +433,30 @@ func (p *pointLabs) get() *Lab {
 	return lab
 }
 
-// put offers a finished lab back to the pool. The caller must have read
-// everything it needs from the lab: the next get overwrites it.
+// put offers a finished lab back to the campaign's pool, or closes it when
+// the pool is full or absent. The caller must have read everything it
+// needs from the lab: the next get overwrites it.
 func (p *pointLabs) put(lab *Lab) {
 	select {
 	case p.pool <- lab:
 	default:
+		lab.Close()
+	}
+}
+
+// close closes the pooled labs and the template. It runs once no attempt
+// runs: the runner has returned.
+func (p *pointLabs) close() {
+	for {
+		select {
+		case lab := <-p.pool:
+			lab.Close()
+		default:
+			if p.tmpl != nil {
+				p.tmpl.Close()
+			}
+			return
+		}
 	}
 }
 
