@@ -196,9 +196,9 @@ func (l *Lab) Fork() (*Lab, error) {
 // new one (about 3.8 MB of cache arrays for Coffee Lake). The machine is
 // booted to its own config on the way in, so an idle machine retains only
 // its own arrays: no processes, no trace ring and no reference to another
-// machine. The pool keeps at most runtime.GOMAXPROCS(0) machines per
-// model; a machine that finds it full, or whose scheduler is mid-run, is
-// dropped instead. Read everything needed from the lab (results,
+// machine. The pool keeps at most 2*runtime.GOMAXPROCS(0) machines per
+// model (idleBound); a machine that finds it full, or whose scheduler is
+// mid-run, is dropped instead. Read everything needed from the lab (results,
 // PhaseSummaries, MetricsSnapshot, WriteTrace, Machine) before closing it:
 // a closed lab has no machine, and using it panics. Closing a closed lab
 // does nothing. Sweeps close the labs they create; long-running callers
@@ -217,9 +217,8 @@ func (l *Lab) Close() {
 
 // idleMachines is the process-wide pool behind Close: machines booted to
 // their own config, by model, waiting for NewLab to boot them or Fork to
-// copy into them. At most runtime.GOMAXPROCS(0) machines wait per model —
-// about as many labs as can run at once — so the pool bounds the memory it
-// holds.
+// copy into them. At most idleBound() machines wait per model, so the pool
+// bounds the memory it holds.
 var idleMachines = struct {
 	sync.Mutex
 	byModel map[Model][]*sim.Machine
@@ -239,11 +238,17 @@ func takeIdle(model Model) *sim.Machine {
 	return m
 }
 
+// idleBound is how many machines may wait per model: two for each
+// campaign that can run at once, because a campaign holds its own lab
+// while its point lab runs. The pool takes before it builds, so the
+// machines alive and idle never exceed the most that were in use at once.
+func idleBound() int { return 2 * runtime.GOMAXPROCS(0) }
+
 // idleRoom reports whether the model's idle machines are below the bound.
 func idleRoom(model Model) bool {
 	idleMachines.Lock()
 	defer idleMachines.Unlock()
-	return len(idleMachines.byModel[model]) < runtime.GOMAXPROCS(0)
+	return len(idleMachines.byModel[model]) < idleBound()
 }
 
 // putIdle adds m to the model's idle machines, or drops it when they are
@@ -251,7 +256,7 @@ func idleRoom(model Model) bool {
 func putIdle(model Model, m *sim.Machine) {
 	idleMachines.Lock()
 	defer idleMachines.Unlock()
-	if ms := idleMachines.byModel[model]; len(ms) < runtime.GOMAXPROCS(0) {
+	if ms := idleMachines.byModel[model]; len(ms) < idleBound() {
 		idleMachines.byModel[model] = append(ms, m)
 	}
 }

@@ -1,9 +1,11 @@
 package runner
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -13,25 +15,75 @@ import (
 	"afterimage/internal/vfs"
 )
 
-// CheckpointSchema versions the on-disk checkpoint format. A file carrying a
-// different schema string is rejected rather than misread.
-const CheckpointSchema = "afterimage-runner-checkpoint/1"
+// CheckpointSchema versions the on-disk checkpoint format. A file carrying
+// any other schema string than this one or checkpointSchemaV1 is rejected
+// rather than misread.
+const CheckpointSchema = "afterimage-runner-checkpoint/2"
 
-// checkpointFile is the persisted shape: which campaign this belongs to and
-// every completed job keyed by its Key.
+// checkpointSchemaV1 is the format before the log: a /1 file is a /2 file
+// with no records after its document, so both read the same way and a
+// service upgraded with campaigns in flight still resumes them.
+const checkpointSchemaV1 = "afterimage-runner-checkpoint/1"
+
+// checkpointFile is the document a checkpoint starts with: which campaign
+// it belongs to and every job completed when the run's first write
+// published it, keyed by Key. Jobs completed after that follow the document
+// as records, one JSON-encoded JobResult per line.
 type checkpointFile struct {
 	Schema      string               `json:"schema"`
 	Fingerprint string               `json:"fingerprint"`
 	Completed   map[string]JobResult `json:"completed"`
 }
 
-// checkpointState is the live handle: the completed map plus where to
-// persist it and the filesystem to persist it through.
+// errCheckpointDamaged marks bytes the writer cannot have left: a document
+// that does not parse, or a record line that is not a JobResult.
+var errCheckpointDamaged = errors.New("damaged")
+
+// decodeCheckpoint reads a checkpoint: the document, then the records, each
+// a line ending in a newline. Bytes after the last newline are a record
+// whose append a crash cut off, or the zero-filled tail a crash can leave
+// where the file grew before its data landed; either is dropped, keeping
+// every record before it. Any other damage wraps errCheckpointDamaged, and
+// an unknown schema is an error of its own.
+func decodeCheckpoint(path string, raw []byte) (checkpointFile, error) {
+	var f checkpointFile
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if err := dec.Decode(&f); err != nil {
+		return f, fmt.Errorf("runner: checkpoint %s: %w document: %v", path, errCheckpointDamaged, err)
+	}
+	if f.Schema != CheckpointSchema && f.Schema != checkpointSchemaV1 {
+		return f, fmt.Errorf("runner: checkpoint %s has schema %q, want %q", path, f.Schema, CheckpointSchema)
+	}
+	if f.Completed == nil {
+		f.Completed = make(map[string]JobResult)
+	}
+	rest := bytes.TrimPrefix(raw[dec.InputOffset():], []byte("\n")) // the document's own newline
+	for {
+		n := bytes.IndexByte(rest, '\n')
+		if n < 0 {
+			return f, nil
+		}
+		var r JobResult
+		if err := json.Unmarshal(rest[:n], &r); err != nil || r.Key == "" {
+			return f, fmt.Errorf("runner: checkpoint %s: %w record at byte %d", path, errCheckpointDamaged, len(raw)-len(rest))
+		}
+		f.Completed[r.Key] = r
+		rest = rest[n+1:]
+	}
+}
+
+// checkpointState is the live handle: the completed map, where to persist
+// it and the filesystem to persist it through, and, once the run's first
+// write has published the document, the open log later completions append
+// to.
 type checkpointState struct {
 	path        string
 	fingerprint string
 	fs          vfs.FS
 	completed   map[string]JobResult
+	// log is the published checkpoint, still open from the run's first
+	// write; nil before that write and after close.
+	log vfs.File
 	// degraded records that the campaign already counted in
 	// runner.checkpoint.degraded, which counts campaigns, not faults.
 	degraded bool
@@ -51,21 +103,23 @@ func (st *checkpointState) degrade(c counters) {
 // fingerprint must match); otherwise any stale file is ignored and
 // overwritten by the first write.
 //
-// An unparseable file is damage, not disagreement — every write is atomic,
-// so torn JSON means the file was hurt after the fact (disk fault, partial
-// copy). Failing would wedge the campaign permanently (each retry re-hits
-// the same parse error), so the damaged file is quarantined beside the
-// original as <path>.corrupt and the campaign resumes fresh; determinism
-// makes the recomputed results identical. Each quarantine bumps the corrupt
-// counter (runner.checkpoint.corrupt; nil is inert) so silent-recovery
-// events still surface in /metrics. A checkpoint the disk will not return
-// (EIO), or a damaged one the disk will not let be renamed aside, likewise
-// degrades to no-resume — the campaign recomputes instead of failing on a
-// fault the retry loop could never fix, and the next checkpoint write
-// replaces the file — and counts the campaign in
-// runner.checkpoint.degraded. Well-formed files that disagree (wrong
-// schema, wrong fingerprint) still fail loudly: those are configuration
-// errors a recompute would silently paper over.
+// A file decodeCheckpoint calls damaged was hurt after the fact (disk
+// fault, partial copy, a torn append the disk reported as written): the
+// document is published by rename and appends never touch earlier bytes, so
+// no crash of the writer leaves it. Failing would wedge the campaign
+// permanently (each retry re-hits the same parse error), so the damaged
+// file is quarantined beside the original as <path>.corrupt and the
+// campaign resumes fresh; determinism makes the recomputed results
+// identical. Each quarantine bumps the corrupt counter
+// (runner.checkpoint.corrupt; nil is inert) so silent-recovery events still
+// surface in /metrics. A checkpoint the disk will not return (EIO), or a
+// damaged one the disk will not let be renamed aside, likewise degrades to
+// no-resume — the campaign recomputes instead of failing on a fault the
+// retry loop could never fix, and the next checkpoint write replaces the
+// file — and counts the campaign in runner.checkpoint.degraded. Well-formed
+// files that disagree (unknown schema, wrong fingerprint) still fail
+// loudly: those are configuration errors a recompute would silently paper
+// over.
 func openCheckpoint(path, fingerprint string, resume bool, fsys vfs.FS, c counters, log *slog.Logger) (*checkpointState, error) {
 	st := &checkpointState{
 		path:        path,
@@ -86,8 +140,8 @@ func openCheckpoint(path, fingerprint string, resume bool, fsys vfs.FS, c counte
 			"path", path, "err", err)
 		return st, nil
 	}
-	var f checkpointFile
-	if err := json.Unmarshal(raw, &f); err != nil {
+	f, err := decodeCheckpoint(path, raw)
+	if errors.Is(err, errCheckpointDamaged) {
 		if qerr := fsys.Rename(path, path+".corrupt"); qerr != nil {
 			st.degrade(c)
 			log.Warn("checkpoint corrupt and could not be quarantined; resuming without it (the next checkpoint write replaces it)",
@@ -97,28 +151,47 @@ func openCheckpoint(path, fingerprint string, resume bool, fsys vfs.FS, c counte
 		c.checkpointCorrupt.Inc()
 		return st, nil
 	}
-	if f.Schema != CheckpointSchema {
-		return nil, fmt.Errorf("runner: checkpoint %s has schema %q, want %q",
-			path, f.Schema, CheckpointSchema)
+	if err != nil {
+		return nil, err
 	}
 	if f.Fingerprint != fingerprint {
 		return nil, fmt.Errorf("runner: checkpoint %s belongs to campaign %s, this campaign is %s (same options and seed required to resume)",
 			path, f.Fingerprint, fingerprint)
 	}
-	if f.Completed != nil {
-		st.completed = f.Completed
-	}
+	st.completed = f.Completed
 	return st, nil
 }
 
-// write persists the completed map atomically and durably: marshal, write to
-// a same-directory temp file, fsync the file, rename over the target, then
-// fsync the parent directory. A kill between any two steps leaves either the
-// previous checkpoint or the new one — never a torn file — and the directory
-// fsync makes the rename itself survive power loss: without it the new name
-// may still live only in the directory's in-memory metadata, and a crash
-// after "rename succeeded" could resurface the old checkpoint (or none).
-func (st *checkpointState) write() error {
+// add records r as completed and makes it durable. The run's first add
+// publishes the document, holding every job completed so far (resumed ones
+// included), atomically; every later add appends r as one record and
+// fsyncs it. After an error nothing further may be added.
+func (st *checkpointState) add(r JobResult) error {
+	st.completed[r.Key] = r
+	if st.log == nil {
+		return st.publish()
+	}
+	line, err := json.Marshal(r)
+	if err != nil {
+		return err
+	}
+	if _, err := st.log.Write(append(line, '\n')); err != nil {
+		return err
+	}
+	return st.log.Sync()
+}
+
+// publish writes the document atomically and durably and keeps it open as
+// the log: marshal, write to a same-directory temp file, fsync the file,
+// rename over the target, then fsync the parent directory. A kill between
+// any two steps leaves either the previous checkpoint or the new one —
+// never a torn document — and the directory fsync makes the rename itself
+// survive power loss: without it the new name may still live only in the
+// directory's in-memory metadata, and a crash after "rename succeeded"
+// could resurface the old checkpoint (or none). The rename is the only
+// directory entry a run makes, so later appends need only the file's own
+// fsync.
+func (st *checkpointState) publish() error {
 	raw, err := json.MarshalIndent(checkpointFile{
 		Schema:      CheckpointSchema,
 		Fingerprint: st.fingerprint,
@@ -132,32 +205,31 @@ func (st *checkpointState) write() error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(raw); err != nil {
+	fail := func(err error) error {
 		f.Close()
-		st.discardTemp(tmp)
+		// Best effort: a survivor is truncated by the next write anyway.
+		_ = st.fs.Remove(tmp)
 		return err
+	}
+	if _, err := f.Write(append(raw, '\n')); err != nil {
+		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		st.discardTemp(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		st.discardTemp(tmp)
-		return err
+		return fail(err)
 	}
 	if err := st.fs.Rename(tmp, st.path); err != nil {
-		st.discardTemp(tmp)
-		return err
+		return fail(err)
 	}
+	st.log = f
 	return st.fs.SyncDir(filepath.Dir(st.path))
 }
 
-// discardTemp removes the temp file a failed checkpoint write left behind
-// (best effort — a survivor is overwritten by the next write anyway).
-func (st *checkpointState) discardTemp(tmp string) {
-	if err := st.fs.Remove(tmp); err != nil && !os.IsNotExist(err) {
-		_ = err // nothing further to do; the next write truncates it
+// close releases the log; Run calls it before returning.
+func (st *checkpointState) close() {
+	if st.log != nil {
+		// Every record was fsynced when added, so a close error loses nothing.
+		_ = st.log.Close()
+		st.log = nil
 	}
 }
 
@@ -183,18 +255,12 @@ func ReadCheckpoint(path, fingerprint string) (map[string]JobResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("runner: read checkpoint: %w", err)
 	}
-	var f checkpointFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, fmt.Errorf("runner: parse checkpoint %s: %w", path, err)
-	}
-	if f.Schema != CheckpointSchema {
-		return nil, fmt.Errorf("runner: checkpoint %s has schema %q, want %q", path, f.Schema, CheckpointSchema)
+	f, err := decodeCheckpoint(path, raw)
+	if err != nil {
+		return nil, err
 	}
 	if fingerprint != "" && f.Fingerprint != fingerprint {
 		return nil, fmt.Errorf("runner: checkpoint %s belongs to campaign %s, want %s", path, f.Fingerprint, fingerprint)
-	}
-	if f.Completed == nil {
-		f.Completed = make(map[string]JobResult)
 	}
 	return f.Completed, nil
 }
@@ -202,16 +268,12 @@ func ReadCheckpoint(path, fingerprint string) (map[string]JobResult, error) {
 // CompletedKeys lists the keys recorded in the checkpoint at path, sorted —
 // a debugging/inspection helper for binaries and tests.
 func CompletedKeys(path string) ([]string, error) {
-	raw, err := os.ReadFile(path)
+	completed, err := ReadCheckpoint(path, "")
 	if err != nil {
 		return nil, err
 	}
-	var f checkpointFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, err
-	}
-	keys := make([]string, 0, len(f.Completed))
-	for k := range f.Completed {
+	keys := make([]string, 0, len(completed))
+	for k := range completed {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

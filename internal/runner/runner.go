@@ -15,6 +15,10 @@
 //   - Every job value crosses a JSON boundary (json.Marshal on completion,
 //     the checkpoint file on resume), so a resumed campaign reassembles the
 //     exact bytes a straight-through run would have produced.
+//   - Each completion is durable before it is counted or reported: the
+//     checkpoint is an append-only log whose document the run's first
+//     completion publishes atomically and to which every later completion
+//     appends one fsynced record (see CheckpointSchema).
 //   - Failures are classified (see Class): transient faults — the cycle
 //     watchdog, injected perturbations, segfaults from simulated code — are
 //     retried with capped, deterministically-jittered exponential backoff;
@@ -111,11 +115,13 @@ type Options struct {
 	// faults with FaultBudget and is retried as transient.
 	JobTimeout time.Duration
 	// CheckpointPath, when set, persists every completed job to this file
-	// via atomic write-temp-then-rename after each completion. A checkpoint
-	// write failure (full or failing disk) never fails the campaign: the
-	// failure is logged, runner.checkpoint.degraded is bumped, and
-	// checkpointing is disabled for the rest of the run — the campaign
-	// completes, it just cannot be resumed.
+	// before the next one is recorded: the run's first completion publishes
+	// a document of every job completed so far by atomic
+	// write-temp-then-rename, and each later completion appends one fsynced
+	// record to it. A checkpoint write failure (full or failing disk) never
+	// fails the campaign: the failure is logged, runner.checkpoint.degraded
+	// is bumped, and checkpointing is disabled for the rest of the run — the
+	// campaign completes, it just cannot be resumed.
 	CheckpointPath string
 	// FS is the filesystem checkpoints are read and written through; nil
 	// means the real one (vfs.OS()). The disk-chaos harness passes a
@@ -132,8 +138,8 @@ type Options struct {
 	Classify func(error) Class
 	// Metrics, when set, receives the runner counters (runner.jobs.started/
 	// completed/retried/resumed/degraded/skipped, runner.backoff.waits/
-	// nanos, runner.checkpoint.writes) and the runner.attempt.us wall-time
-	// histogram.
+	// nanos, runner.checkpoint.writes) and the runner.attempt.us and
+	// runner.checkpoint.us wall-time histograms.
 	Metrics *telemetry.Registry
 	// Logger, when set, receives structured per-job events (retries,
 	// degradations), stamped with the campaign's correlation ID from the
@@ -142,8 +148,9 @@ type Options struct {
 	// Sleep replaces the backoff sleep (tests). nil sleeps on a timer that
 	// also aborts on campaign cancellation.
 	Sleep func(time.Duration)
-	// OnCheckpoint is invoked (serialised) after each checkpoint write with
-	// the number of completed jobs so far — the chaos tests' kill hook.
+	// OnCheckpoint is invoked (serialised) after each durable checkpoint
+	// write with the number of completed jobs so far — the chaos tests'
+	// kill hook.
 	OnCheckpoint func(completed int)
 }
 
@@ -190,12 +197,16 @@ type counters struct {
 	started, completed, retried, resumed, degraded, skipped *telemetry.Counter
 	backoffWaits, backoffNanos, checkpointWrites            *telemetry.Counter
 	checkpointCorrupt, checkpointDegraded                   *telemetry.Counter
-	attemptUS                                               *telemetry.Histogram
+	attemptUS, checkpointUS                                 *telemetry.Histogram
 }
 
 // attemptBounds bucket one attempt's wall time in µs — a tiny sweep point is
 // sub-millisecond, a full-report point can run for seconds.
 var attemptBounds = []uint64{1_000, 10_000, 100_000, 1_000_000, 10_000_000, 60_000_000}
+
+// checkpointBounds bucket one durable checkpoint write in µs — an fsync on
+// a local disk is sub-millisecond to a few, on a failing one seconds.
+var checkpointBounds = []uint64{10, 100, 1_000, 10_000, 100_000, 1_000_000}
 
 func newCounters(reg *telemetry.Registry) counters {
 	if reg == nil {
@@ -214,6 +225,7 @@ func newCounters(reg *telemetry.Registry) counters {
 		checkpointCorrupt:  reg.Counter("runner.checkpoint.corrupt"),
 		checkpointDegraded: reg.Counter("runner.checkpoint.degraded"),
 		attemptUS:          reg.Histogram("runner.attempt.us", attemptBounds),
+		checkpointUS:       reg.Histogram("runner.checkpoint.us", checkpointBounds),
 	}
 }
 
@@ -292,8 +304,8 @@ func Run(ctx context.Context, jobs []Job, o Options) ([]JobResult, error) {
 		if cpDead {
 			return
 		}
-		cp.completed[r.Key] = r
-		if err := cp.write(); err != nil {
+		began := time.Now()
+		if err := cp.add(r); err != nil {
 			// Degrade to no-checkpoint, never to a failed campaign: the
 			// results in memory are intact, only resumability is lost.
 			cpDead = true
@@ -302,6 +314,7 @@ func Run(ctx context.Context, jobs []Job, o Options) ([]JobResult, error) {
 				"path", o.CheckpointPath, "err", err)
 			return
 		}
+		c.checkpointUS.Observe(uint64(time.Since(began).Microseconds()))
 		c.checkpointWrites.Inc()
 		if o.OnCheckpoint != nil {
 			o.OnCheckpoint(len(cp.completed))
@@ -329,6 +342,9 @@ func Run(ctx context.Context, jobs []Job, o Options) ([]JobResult, error) {
 	}
 	close(work)
 	wg.Wait()
+	if cp != nil {
+		cp.close()
+	}
 
 	if err := ctx.Err(); err != nil {
 		return results, fmt.Errorf("runner: campaign canceled: %w", err)

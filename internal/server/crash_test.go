@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,9 +13,11 @@ import (
 	"time"
 
 	"afterimage/internal/client"
+	"afterimage/internal/cluster"
 	"afterimage/internal/runner"
 	"afterimage/internal/server"
 	"afterimage/internal/store"
+	"afterimage/internal/vfs"
 )
 
 // entryPath locates a campaign's store entry on disk (the store shards by
@@ -228,6 +231,74 @@ func TestRestartAfterTornCheckpoint(t *testing.T) {
 	// The damaged file was quarantined for forensics, not deleted.
 	if _, err := os.Stat(ckpt + ".corrupt"); err != nil {
 		t.Fatalf("torn checkpoint not quarantined: %v", err)
+	}
+}
+
+// checkpointProbeFS is a store filesystem that, each time the store
+// creates an entry's temp file, records whether the campaign checkpoint at
+// ckpt still exists.
+type checkpointProbeFS struct {
+	vfs.FS
+	ckpt string
+
+	mu   sync.Mutex
+	seen []bool
+}
+
+func (f *checkpointProbeFS) Create(path string) (vfs.File, error) {
+	_, err := os.Stat(f.ckpt)
+	f.mu.Lock()
+	f.seen = append(f.seen, err == nil)
+	f.mu.Unlock()
+	return f.FS.Create(path)
+}
+
+// TestCheckpointOutlivesStoreWrite: a served campaign's checkpoint still
+// exists when the store writes the campaign's result, and is gone once the
+// campaign has answered, on the local path and on the cluster's
+// degrade-to-local path. A kill between the two therefore finds either the
+// stored result or the checkpoint, never neither.
+func TestCheckpointOutlivesStoreWrite(t *testing.T) {
+	for _, clustered := range []bool{false, true} {
+		spec := tinySpec(141)
+		key := spec.Normalize().Key()
+		dir := t.TempDir()
+		ckptDir := filepath.Join(dir, "ckpt")
+		probe := &checkpointProbeFS{FS: vfs.OS(), ckpt: filepath.Join(ckptDir, key+".ckpt")}
+		st, _, err := store.OpenWith(store.Options{Dir: filepath.Join(dir, "store"), FS: probe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := server.Config{Store: st, CheckpointDir: ckptDir}
+		if clustered {
+			// No workers: every dispatch degrades to local execution.
+			coord := cluster.New(cluster.Config{})
+			t.Cleanup(coord.Stop)
+			cfg.Cluster = coord
+		}
+		srv, err := server.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs := httptest.NewServer(srv.Handler())
+		t.Cleanup(hs.Close)
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			srv.Drain(ctx)
+		})
+		if _, err := client.New(hs.URL).Submit(context.Background(), spec); err != nil {
+			t.Fatalf("clustered=%v: %v", clustered, err)
+		}
+		probe.mu.Lock()
+		seen := probe.seen
+		probe.mu.Unlock()
+		if len(seen) != 1 || !seen[0] {
+			t.Fatalf("clustered=%v: checkpoint present at the store's writes: %v, want [true]", clustered, seen)
+		}
+		if _, err := os.Stat(probe.ckpt); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("clustered=%v: checkpoint not removed after the result was stored: %v", clustered, err)
+		}
 	}
 }
 

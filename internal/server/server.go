@@ -559,6 +559,7 @@ func (s *Server) runCampaign(ctx context.Context, key string, spec CampaignSpec)
 		return nil, nil, false, err
 	}
 	degraded := s.persistResult(ctx, key, body)
+	s.removeCheckpoint(key)
 	s.completed.Inc()
 
 	// The span tree is derived from the deterministic result, so a resumed
@@ -573,7 +574,9 @@ func (s *Server) runCampaign(ctx context.Context, key string, spec CampaignSpec)
 // persistResult caches a computed campaign result, shedding the write — not
 // the campaign — when the disk refuses it. A true return means degraded: the
 // result was served uncached and the next identical request recomputes (and
-// re-attempts the cache write, which is how the cache heals).
+// re-attempts the cache write, which is how the cache heals). The caller
+// removes the campaign's checkpoint only after it returns, so a kill in
+// between finds the result stored or the checkpoint still there.
 func (s *Server) persistResult(ctx context.Context, key string, body []byte) bool {
 	err := s.st.PutCtx(ctx, key, body)
 	if err == nil {
@@ -611,14 +614,12 @@ func (s *Server) executeLocal(ctx context.Context, key string, spec CampaignSpec
 // if a previous run of this campaign was interrupted (crash, drain, client
 // cancel, a coordinator that hung up), the completed points in ropts'
 // checkpoint are loaded instead of re-simulated, and the final bytes equal
-// an uninterrupted run's. Once the result is encoded, which supersedes the
-// checkpoint, the checkpoint is removed through ropts.FS (which must be
-// set), best-effort. The campaign lab is closed as soon as its phases are
-// read, before the checkpoint goes, so its machine waits in the library's
-// idle pool for the next campaign (afterimage.Lab.Close) and the close
-// does not lengthen the gap between removing the checkpoint and storing
-// the result. The coordinator's local path and the worker both run
-// campaigns through it, so their bytes are identical.
+// an uninterrupted run's. The checkpoint stays: the caller removes it once
+// the result is where a restart finds it (stored by the coordinator, sent
+// by the worker). The campaign lab is closed as soon as its phases are
+// read, so its machine waits in the library's idle pool for the next
+// campaign (afterimage.Lab.Close). The coordinator's local path and the
+// worker both run campaigns through it, so their bytes are identical.
 func runSweep(ctx context.Context, spec CampaignSpec, ropts runner.Options) ([]byte, afterimage.SweepResult, []afterimage.PhaseSummary, error) {
 	lab, err := afterimage.NewLabE(spec.labOptions())
 	if err != nil {
@@ -641,7 +642,6 @@ func runSweep(ctx context.Context, spec CampaignSpec, ropts runner.Options) ([]b
 	if err != nil {
 		return nil, afterimage.SweepResult{}, nil, fmt.Errorf("encode result: %w", err)
 	}
-	ropts.FS.Remove(ropts.CheckpointPath)
 	return body, res, phases, nil
 }
 
@@ -665,6 +665,7 @@ func (s *Server) runCampaignDispatched(ctx context.Context, key string, spec Cam
 		return nil, nil, false, fmt.Errorf("decode dispatched result: %w", err)
 	}
 	degraded := s.persistResult(ctx, key, dres.Body)
+	s.removeCheckpoint(key) // left by a degrade-to-local run, if any
 	s.completed.Inc()
 	obslog.Ctx(s.log, ctx).Info("campaign dispatched", "key", key,
 		"mode", dres.Mode, "worker", dres.Worker, "attempts", len(dres.Attempts))
@@ -677,6 +678,13 @@ func (s *Server) runCampaignDispatched(ctx context.Context, key string, spec Cam
 
 func (s *Server) checkpointPath(key string) string {
 	return filepath.Join(s.cfg.CheckpointDir, key+".ckpt")
+}
+
+// removeCheckpoint deletes a finished campaign's checkpoint.
+func (s *Server) removeCheckpoint(key string) {
+	// Best effort: the result supersedes it, and a survivor only makes the
+	// next run of the campaign resume instead of recompute.
+	_ = s.fs.Remove(s.checkpointPath(key))
 }
 
 // campaignError maps an execution failure onto an HTTP shape. Cancellation

@@ -529,7 +529,8 @@ func TestStatusAndEvents(t *testing.T) {
 }
 
 // TestMetricsEndpoint: /metrics exposes the runner.*, server.*, and
-// store.* counters of the one shared registry as Prometheus families.
+// store.* counters and histograms of the one shared registry as Prometheus
+// families.
 func TestMetricsEndpoint(t *testing.T) {
 	e := newEnv(t, nil)
 	if _, err := e.cl.Submit(context.Background(), tinySpec(61)); err != nil {
@@ -542,7 +543,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, family := range []string{
 		"afterimage_server_requests_total", "afterimage_server_campaigns_executed_total",
 		"afterimage_server_cache_misses_total", "afterimage_runner_jobs_completed_total",
-		"afterimage_runner_checkpoint_writes_total", "afterimage_store_writes_total",
+		"afterimage_runner_checkpoint_writes_total", "afterimage_runner_checkpoint_us_count",
+		"afterimage_store_writes_total",
 		`afterimage_server_tenant_requests_total{tenant="t1"}`,
 	} {
 		if !strings.Contains(text, "\n"+family+" ") {

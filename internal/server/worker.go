@@ -181,11 +181,12 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)
 	wlog.Info("worker job started", "key", key, "worker", w.cfg.ID)
+	ckpt := filepath.Join(w.cfg.CheckpointDir, key+".ckpt")
 	body, _, _, err := runSweep(ctx, spec, runner.Options{
 		Workers:        w.cfg.PointWorkers,
 		Metrics:        w.reg,
 		Logger:         w.log,
-		CheckpointPath: filepath.Join(w.cfg.CheckpointDir, key+".ckpt"),
+		CheckpointPath: ckpt,
 		FS:             vfs.OS(),
 	})
 	if err != nil {
@@ -206,6 +207,10 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set(cluster.HeaderJobKey, key)
 	rw.WriteHeader(http.StatusOK)
 	rw.Write(body)
+	// The checkpoint goes only once the response is written, so a worker
+	// killed before that resumes the campaign instead of recomputing it.
+	// Best effort, as on the coordinator.
+	_ = vfs.OS().Remove(ckpt)
 }
 
 // handleHealthz answers heartbeat probes: 200 while accepting jobs, 503 once

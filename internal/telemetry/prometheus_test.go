@@ -152,6 +152,7 @@ func TestPrometheusCuratedHelp(t *testing.T) {
 	reg.Counter("store.recovery.entries").Add(40)
 	reg.Counter("store.corrupt").Add(1)
 	reg.Counter("runner.checkpoint.writes").Add(9)
+	reg.Histogram("runner.checkpoint.us", []uint64{100, 1_000}).Observe(420)
 	reg.Counter("runner.checkpoint.corrupt").Add(3)
 	reg.Counter("cluster.dispatch.local").Add(1)
 	reg.Counter("cluster.workers.evicted").Add(1)
@@ -177,7 +178,9 @@ func TestPrometheusCuratedHelp(t *testing.T) {
 		"afterimage_store_recovery_quarantined_total 2",
 		"# HELP afterimage_store_recovery_entries_total Valid entries indexed by the startup recovery scan.",
 		"# HELP afterimage_store_corrupt_total Store reads that failed content verification and were quarantined.",
-		"# HELP afterimage_runner_checkpoint_writes_total Atomic+durable runner checkpoint writes (one per completed point).",
+		"# HELP afterimage_runner_checkpoint_writes_total Durable runner checkpoint writes, one per completed point: an atomic first write per run, then one fsynced append each.",
+		"# HELP afterimage_runner_checkpoint_us Wall time of each durable runner checkpoint write in microseconds, first writes and appends alike.",
+		"afterimage_runner_checkpoint_us_count 1",
 		"# HELP afterimage_runner_checkpoint_corrupt_total Unparseable runner checkpoints quarantined as .corrupt; the campaign recomputed identical results from scratch.",
 		"afterimage_runner_checkpoint_corrupt_total 3",
 		"# HELP afterimage_cluster_dispatch_local_total Dispatches degraded to local in-process execution (no dispatchable worker).",

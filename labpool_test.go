@@ -135,7 +135,7 @@ func TestSweepIdleMachinesMatchFreshReference(t *testing.T) {
 	}
 	wg.Wait()
 
-	bound := runtime.GOMAXPROCS(0)
+	bound := 2 * runtime.GOMAXPROCS(0)
 	for model, n := range drainIdle() {
 		if n > bound {
 			t.Errorf("%d idle %s machines, bound %d", n, model, bound)
@@ -147,8 +147,8 @@ func TestSweepIdleMachinesMatchFreshReference(t *testing.T) {
 // pool holding nothing but its own arrays, is reused by the next NewLab or
 // Fork of its model and never by the other model, and comes back
 // state-identical to a machine built from nothing. A closed lab panics
-// when used, closing it twice does nothing, and no more than GOMAXPROCS
-// machines wait per model.
+// when used, closing it twice does nothing, and no more than twice
+// GOMAXPROCS machines wait per model.
 func TestSweepIdleMachinesLabLifecycle(t *testing.T) {
 	drainIdle()
 	defer drainIdle()
@@ -209,7 +209,7 @@ func TestSweepIdleMachinesLabLifecycle(t *testing.T) {
 		}()
 	}
 
-	bound := runtime.GOMAXPROCS(0)
+	bound := 2 * runtime.GOMAXPROCS(0)
 	for i := 0; i < bound+2; i++ {
 		NewLab(Options{Seed: int64(i)}).Close()
 		buildLab(Options{Seed: int64(i)}).Close()

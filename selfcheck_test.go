@@ -138,24 +138,31 @@ func TestSweepQuarantinesCorruptedPoint(t *testing.T) {
 	}
 }
 
-// tamperCheckpoint rewrites one recorded point's state hash in place,
-// simulating the silent-corruption scenario the replay harness exists to
-// catch.
+// tamperCheckpoint rewrites one recorded point's state hash, simulating the
+// silent-corruption scenario the replay harness exists to catch. It reads
+// every completed point through runner.ReadCheckpoint, the fingerprint from
+// the document the checkpoint starts with, and writes the tampered points
+// back as one document.
 func tamperCheckpoint(t *testing.T, path, key string) {
 	t.Helper()
-	raw, err := os.ReadFile(path)
+	completed, err := runner.ReadCheckpoint(path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var f struct {
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var doc struct {
 		Schema      string                      `json:"schema"`
 		Fingerprint string                      `json:"fingerprint"`
 		Completed   map[string]runner.JobResult `json:"completed"`
 	}
-	if err := json.Unmarshal(raw, &f); err != nil {
+	if err := json.NewDecoder(f).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	jr, ok := f.Completed[key]
+	jr, ok := completed[key]
 	if !ok {
 		t.Fatalf("key %q not in checkpoint %s", key, path)
 	}
@@ -168,8 +175,9 @@ func tamperCheckpoint(t *testing.T, path, key string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Completed[key] = jr
-	out, err := json.Marshal(f)
+	completed[key] = jr
+	doc.Completed = completed
+	out, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
