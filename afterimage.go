@@ -197,13 +197,16 @@ func (l *Lab) Fork() (*Lab, error) {
 // booted to its own config on the way in, so an idle machine retains only
 // its own arrays: no processes, no trace ring and no reference to another
 // machine. The pool keeps at most 2*runtime.GOMAXPROCS(0) machines per
-// model (idleBound); a machine that finds it full, or whose scheduler is
-// mid-run, is dropped instead. Read everything needed from the lab (results,
-// PhaseSummaries, MetricsSnapshot, WriteTrace, Machine) before closing it:
-// a closed lab has no machine, and using it panics. Closing a closed lab
-// does nothing. Sweeps close the labs they create; long-running callers
-// that create many labs should close the ones they are done with, and
-// labs left open are garbage collected as before.
+// model (idleBound), two for each campaign that can run at once: a warm
+// campaign holds its template beside its point lab, and a caller of
+// Lab.RunFaultSweepCtx holds this lab beside it. A machine that finds the
+// pool full, or whose scheduler is mid-run, is dropped instead. Read
+// everything needed from the lab (results, PhaseSummaries,
+// MetricsSnapshot, WriteTrace, Machine) before closing it: a closed lab
+// has no machine, and using it panics. Closing a closed lab does nothing.
+// Sweeps close the labs they create; long-running callers that create many
+// labs should close the ones they are done with, and labs left open are
+// garbage collected as before.
 func (l *Lab) Close() {
 	m := l.m
 	if m == nil {
@@ -239,9 +242,13 @@ func takeIdle(model Model) *sim.Machine {
 }
 
 // idleBound is how many machines may wait per model: two for each
-// campaign that can run at once, because a campaign holds its own lab
-// while its point lab runs. The pool takes before it builds, so the
-// machines alive and idle never exceed the most that were in use at once.
+// campaign that can run at once. A served campaign holds one, its point
+// lab (the service runs the lab-less RunFaultSweepCtx), but a warm
+// campaign also holds its template, and a library caller of
+// Lab.RunFaultSweepCtx its own lab, and at GOMAXPROCS the bench's warm
+// campaigns allocated measurably more (DESIGN.md, "Idle machines across
+// campaigns"). The pool takes before it builds, so the machines alive and
+// idle never exceed the most that were in use at once.
 func idleBound() int { return 2 * runtime.GOMAXPROCS(0) }
 
 // idleRoom reports whether the model's idle machines are below the bound.

@@ -282,7 +282,8 @@ func benchSweep(b *testing.B, fresh bool) {
 	o := hotpathSweepOptions()
 	o.Warmup = 400_000
 	run := func() {
-		res, _ := NewLab(Options{Seed: 42, Quiet: true}).runFaultSweep(context.Background(), o, fresh)
+		lab := NewLab(Options{Seed: 42, Quiet: true})
+		res, _ := runFaultSweep(context.Background(), lab.opts, lab.m.Telemetry(), o, fresh)
 		if len(res.Points) != len(o.Intensities) {
 			b.Fatalf("sweep returned %d points, want %d", len(res.Points), len(o.Intensities))
 		}

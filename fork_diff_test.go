@@ -145,7 +145,7 @@ func TestForkDifferentialTable3(t *testing.T) {
 // and audit paths included).
 func TestForkDifferentialFaultSweepFresh(t *testing.T) {
 	o := hotpathSweepOptions()
-	res, _ := NewLab(Options{Seed: 42, Quiet: true}).runFaultSweep(context.Background(), o, true)
+	res, _ := runFaultSweep(context.Background(), Options{Seed: 42, Quiet: true}, nil, o, true)
 	want := loadHotpathGolden(t).Sweep
 	if len(res.Points) != len(want) {
 		t.Fatalf("sweep has %d points, seed path recorded %d", len(res.Points), len(want))
@@ -166,7 +166,7 @@ func TestForkDifferentialWarmupSweep(t *testing.T) {
 	o := hotpathSweepOptions()
 	o.Warmup = 20_000
 	run := func(fresh bool) []string {
-		res, _ := NewLab(Options{Seed: 42, Quiet: true}).runFaultSweep(context.Background(), o, fresh)
+		res, _ := runFaultSweep(context.Background(), Options{Seed: 42, Quiet: true}, nil, o, fresh)
 		got := make([]string, len(res.Points))
 		for i, pt := range res.Points {
 			got[i] = hexDigest(pt.StateHash)
@@ -239,7 +239,7 @@ func TestSweepForkedMatchesFreshBytesUnderCorruption(t *testing.T) {
 					Runner:      runner.Options{Workers: workers, Sleep: func(time.Duration) {}},
 				}
 				run := func(fresh bool) []byte {
-					res, err := NewLab(Options{Seed: 42}).runFaultSweep(context.Background(), o, fresh)
+					res, err := runFaultSweep(context.Background(), Options{Seed: 42}, nil, o, fresh)
 					if err != nil {
 						t.Fatalf("%s/%s/workers=%d fresh=%v: %v", attack, name, workers, fresh, err)
 					}

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"afterimage"
 	"afterimage/internal/cluster"
 	"afterimage/internal/server"
 	"afterimage/internal/telemetry"
@@ -218,6 +220,100 @@ func TestClusterKilledWorkerFailsOver(t *testing.T) {
 	}
 	if got := e.counter(t, "cluster.dispatch.requests"); got != 1 {
 		t.Fatalf("cluster.dispatch.requests = %d, want 1", got)
+	}
+}
+
+// TestClusterPhasesEventBothPaths: a campaign run in-process and one
+// dispatched to a worker each publish exactly one phases progress event,
+// equal to the phases of the result bytes the client received.
+func TestClusterPhasesEventBothPaths(t *testing.T) {
+	local := newEnv(t, nil)
+	dispatched, coord := clusterEnv(t, nil)
+	w1, wreg := startClusterWorker(t, "w1")
+	if err := coord.Register("w1", w1.URL); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []struct {
+		name string
+		e    *env
+	}{{"local", local}, {"dispatched", dispatched}} {
+		t.Run(path.name, func(t *testing.T) {
+			e := path.e
+			spec := tinySpec(214)
+			key := spec.Normalize().Key()
+			started, release := gated(e)
+			type submitted struct {
+				body []byte
+				err  error
+			}
+			subc := make(chan submitted, 1)
+			go func() {
+				res, err := e.cl.Submit(context.Background(), spec)
+				if err != nil {
+					subc <- submitted{err: err}
+					return
+				}
+				subc <- submitted{body: res.Body}
+			}()
+			<-started
+
+			// The stream first replays the campaign's queued state, so once
+			// that arrives the subscription is attached and sees every later
+			// event.
+			attached := make(chan struct{})
+			evc := make(chan []server.ProgressEvent, 1)
+			go func() {
+				var got []server.ProgressEvent
+				e.cl.Events(context.Background(), key, func(ev server.ProgressEvent) bool {
+					if len(got) == 0 {
+						close(attached)
+					}
+					got = append(got, ev)
+					return ev.Type != "done" && ev.Type != "error"
+				})
+				evc <- got
+			}()
+			select {
+			case <-attached:
+			case <-time.After(10 * time.Second):
+				t.Fatal("progress stream never attached")
+			}
+			close(release)
+			sub := <-subc
+			if sub.err != nil {
+				t.Fatal(sub.err)
+			}
+			var events []server.ProgressEvent
+			select {
+			case events = <-evc:
+			case <-time.After(15 * time.Second):
+				t.Fatal("progress stream never terminated")
+			}
+
+			var phases [][]afterimage.PhaseSummary
+			for _, ev := range events {
+				if ev.Type == "phases" {
+					phases = append(phases, ev.Phases)
+				}
+			}
+			if len(phases) != 1 {
+				t.Fatalf("%d phases events in %+v, want exactly 1", len(phases), events)
+			}
+			var res afterimage.SweepResult
+			if err := json.Unmarshal(sub.body, &res); err != nil {
+				t.Fatalf("decode result: %v", err)
+			}
+			want := res.PhaseSummaries()
+			if len(want) == 0 {
+				t.Fatal("result carries no phases")
+			}
+			if !slices.Equal(phases[0], want) {
+				t.Fatalf("phases event %+v, result's phases %+v", phases[0], want)
+			}
+		})
+	}
+	if n := wreg.Snapshot().Counters["worker.jobs.completed"]; n != 1 {
+		t.Fatalf("worker completed %d jobs, want the dispatched campaign's 1", n)
 	}
 }
 

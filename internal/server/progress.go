@@ -8,9 +8,11 @@ import (
 
 // ProgressEvent is one server-sent progress record for an in-flight
 // campaign. The stream for a campaign is: queued → started → point* →
-// phases? → (done | error). Phase aggregates originate from the simulator's
-// telemetry hub (train/trigger/probe/decode spans absorbed per sweep point)
-// and are forwarded when the campaign completes.
+// phases? → (done | error). The phases event carries the result's
+// aggregates (SweepResult.PhaseSummaries: the points' train/trigger/probe/
+// decode accounting), published when a campaign completes, whether it ran
+// locally or on a worker. Point events come only from campaigns run in
+// this process.
 type ProgressEvent struct {
 	// Type is queued | started | point | phases | done | error.
 	Type string `json:"type"`

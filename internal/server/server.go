@@ -122,10 +122,10 @@ type Config struct {
 // Server handles the campaign API. Create with New, serve via Handler, stop
 // via Drain.
 type Server struct {
-	cfg Config
-	st  *store.Store
-	fs  vfs.FS
-	reg *telemetry.Registry
+	cfg  Config
+	st   *store.Store
+	exec executor
+	reg  *telemetry.Registry
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -237,10 +237,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	reg := cfg.Registry
+	log := obslog.OrDiscard(cfg.Logger)
 	s := &Server{
 		cfg:        cfg,
 		st:         cfg.Store,
-		fs:         cfg.FS,
+		exec:       executor{dir: cfg.CheckpointDir, fs: cfg.FS, workers: cfg.PointWorkers, reg: reg, log: log},
 		reg:        reg,
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -248,7 +249,7 @@ func New(cfg Config) (*Server, error) {
 		admission:  newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, cfg.TenantQuota, cfg.RetryAfter, reg),
 		progress:   newProgressHub(),
 		traces:     newTraceStore(cfg.TraceRetention),
-		log:        obslog.OrDiscard(cfg.Logger),
+		log:        log,
 
 		requests:           reg.Counter("server.requests"),
 		cacheHits:          reg.Counter("server.cache.hits"),
@@ -275,7 +276,7 @@ func New(cfg Config) (*Server, error) {
 			if err := json.Unmarshal(payload, &spec); err != nil {
 				return nil, fmt.Errorf("decode local job payload: %w", err)
 			}
-			body, _, _, err := s.executeLocal(ctx, key, spec.Normalize())
+			body, _, err := s.executeLocal(ctx, key, spec.Normalize())
 			return body, err
 		})
 	}
@@ -513,7 +514,7 @@ func (s *Server) execute(f *flight, spec CampaignSpec) {
 	defer release()
 	flog.Info("campaign admitted", "key", f.key)
 
-	body, phases, degraded, err := s.runCampaign(f.ctx, f.key, spec)
+	body, res, degraded, err := s.runCampaign(f.ctx, f.key, spec)
 	if err != nil {
 		f.err = s.campaignError(f.ctx, err)
 		flog.Warn("campaign failed", "key", f.key,
@@ -525,7 +526,7 @@ func (s *Server) execute(f *flight, spec CampaignSpec) {
 		"cache_degraded", degraded)
 	f.body = body
 	f.degraded = degraded
-	if len(phases) > 0 {
+	if phases := res.PhaseSummaries(); len(phases) > 0 {
 		s.progress.publish(ProgressEvent{Type: "phases", Key: f.key, Phases: phases})
 	}
 	s.progress.publish(ProgressEvent{Type: "done", Key: f.key,
@@ -534,41 +535,45 @@ func (s *Server) execute(f *flight, spec CampaignSpec) {
 
 // runCampaign executes the sweep under the flight context — in-process, or,
 // when a cluster coordinator is configured, dispatched across the worker
-// pool — stores the result on success, and records the span tree. Campaigns
-// are pure functions of their specs, so both paths produce byte-identical
-// results; the dispatched path additionally records its failover audit trail
-// as a "dispatch" stage in the spans.
-// The returned degraded flag reports a shed cache write: the result is
-// complete and correct, the store just could not persist it (see persistResult).
-func (s *Server) runCampaign(ctx context.Context, key string, spec CampaignSpec) ([]byte, []afterimage.PhaseSummary, bool, error) {
+// pool — and completes it (complete). Campaigns are pure functions of their
+// specs, so both paths produce byte-identical results. The returned
+// degraded flag reports a shed cache write: the result is complete and
+// correct, the store just could not persist it (see persistResult).
+func (s *Server) runCampaign(ctx context.Context, key string, spec CampaignSpec) ([]byte, afterimage.SweepResult, bool, error) {
 	s.executed.Inc()
 	if s.testGate != nil {
 		if err := s.testGate(ctx, key); err != nil {
-			return nil, nil, false, err
+			return nil, afterimage.SweepResult{}, false, err
 		}
 	}
-	total := len(spec.Intensities)
-	s.progress.publish(ProgressEvent{Type: "started", Key: key, Total: total})
+	s.progress.publish(ProgressEvent{Type: "started", Key: key, Total: len(spec.Intensities)})
 
 	if s.cfg.Cluster != nil {
 		return s.runCampaignDispatched(ctx, key, spec)
 	}
-
-	body, res, phases, err := s.executeLocal(ctx, key, spec)
+	body, res, err := s.executeLocal(ctx, key, spec)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, afterimage.SweepResult{}, false, err
 	}
-	degraded := s.persistResult(ctx, key, body)
-	s.removeCheckpoint(key)
-	s.completed.Inc()
+	return body, res, s.complete(ctx, key, spec, body, res, nil), nil
+}
 
-	// The span tree is derived from the deterministic result, so a resumed
-	// campaign reports the identical trace an uninterrupted run would have —
-	// the byte-identity guarantee extends to observability.
-	rec := buildCampaignSpans(obslog.Correlation(ctx), key, spec, res)
+// complete finishes a computed campaign, local or dispatched: it stores the
+// result, then removes the campaign's checkpoint (the local path's, or one
+// left by a dispatch that degraded to it), counts the completion, and
+// records the span tree with the dispatch attempts, if any, in the trace
+// store and the span log. The span tree is derived from the deterministic
+// result, so a resumed campaign reports the identical trace an
+// uninterrupted run would have — the byte-identity guarantee extends to
+// observability. It returns persistResult's degraded flag.
+func (s *Server) complete(ctx context.Context, key string, spec CampaignSpec, body []byte, res afterimage.SweepResult, dispatch []cluster.Attempt) bool {
+	degraded := s.persistResult(ctx, key, body)
+	s.exec.removeCheckpoint(key)
+	s.completed.Inc()
+	rec := buildCampaignSpans(obslog.Correlation(ctx), key, spec, res, dispatch)
 	s.traces.put(rec)
 	s.appendSpanLog(rec)
-	return body, phases, degraded, nil
+	return degraded
 }
 
 // persistResult caches a computed campaign result, shedding the write — not
@@ -588,61 +593,17 @@ func (s *Server) persistResult(ctx context.Context, key string, body []byte) boo
 	return true
 }
 
-// executeLocal runs the sweep in-process (runSweep) under the server's
-// runner options, with a fingerprint-keyed checkpoint in the server's
-// checkpoint directory and progress events per completed point. It is
-// both the non-cluster execution path and the cluster's degrade-to-local
-// fallback.
-func (s *Server) executeLocal(ctx context.Context, key string, spec CampaignSpec) ([]byte, afterimage.SweepResult, []afterimage.PhaseSummary, error) {
+// executeLocal runs the campaign in-process through the server's executor,
+// publishing a progress event per completed point. It is both the
+// non-cluster execution path and the cluster's degrade-to-local fallback.
+func (s *Server) executeLocal(ctx context.Context, key string, spec CampaignSpec) ([]byte, afterimage.SweepResult, error) {
 	total := len(spec.Intensities)
-	return runSweep(ctx, spec, runner.Options{
-		Workers:        s.cfg.PointWorkers,
-		Metrics:        s.reg,
-		Logger:         s.log,
-		CheckpointPath: s.checkpointPath(key),
-		FS:             s.fs,
-		OnCheckpoint: func(completed int) {
-			s.progress.publish(ProgressEvent{Type: "point", Key: key, Completed: completed, Total: total})
-			if s.testPointDone != nil {
-				s.testPointDone(key, completed)
-			}
-		},
+	return s.exec.runSweep(ctx, key, spec, func(completed int) {
+		s.progress.publish(ProgressEvent{Type: "point", Key: key, Completed: completed, Total: total})
+		if s.testPointDone != nil {
+			s.testPointDone(key, completed)
+		}
 	})
-}
-
-// runSweep runs spec's sweep in-process under ropts with resume always on:
-// if a previous run of this campaign was interrupted (crash, drain, client
-// cancel, a coordinator that hung up), the completed points in ropts'
-// checkpoint are loaded instead of re-simulated, and the final bytes equal
-// an uninterrupted run's. The checkpoint stays: the caller removes it once
-// the result is where a restart finds it (stored by the coordinator, sent
-// by the worker). The campaign lab is closed as soon as its phases are
-// read, so its machine waits in the library's idle pool for the next
-// campaign (afterimage.Lab.Close). The coordinator's local path and the
-// worker both run campaigns through it, so their bytes are identical.
-func runSweep(ctx context.Context, spec CampaignSpec, ropts runner.Options) ([]byte, afterimage.SweepResult, []afterimage.PhaseSummary, error) {
-	lab, err := afterimage.NewLabE(spec.labOptions())
-	if err != nil {
-		return nil, afterimage.SweepResult{}, nil, err
-	}
-	// The deadline/cancel wiring below the runner: each sweep point's job
-	// context descends from ctx, and runSweepPoint arms the simulator
-	// watchdog with it (Lab.ArmCancel), so cancellation and deadlines
-	// surface as typed FaultBudget faults at the next simulated operation.
-	so := spec.sweepOptions()
-	ropts.Resume = true
-	so.Runner = ropts
-	res, err := lab.RunFaultSweepCtx(ctx, so)
-	phases := lab.PhaseSummaries()
-	lab.Close()
-	if err != nil {
-		return nil, afterimage.SweepResult{}, nil, err
-	}
-	body, err := res.JSON()
-	if err != nil {
-		return nil, afterimage.SweepResult{}, nil, fmt.Errorf("encode result: %w", err)
-	}
-	return body, res, phases, nil
 }
 
 // runCampaignDispatched routes the campaign through the cluster coordinator:
@@ -651,40 +612,81 @@ func runSweep(ctx context.Context, spec CampaignSpec, ropts runner.Options) ([]b
 // verbatim — they are identical to what the local path would produce — and
 // the dispatch attempts ride into the span tree so traces show which worker
 // ran each attempt and why failovers happened.
-func (s *Server) runCampaignDispatched(ctx context.Context, key string, spec CampaignSpec) ([]byte, []afterimage.PhaseSummary, bool, error) {
+func (s *Server) runCampaignDispatched(ctx context.Context, key string, spec CampaignSpec) ([]byte, afterimage.SweepResult, bool, error) {
 	payload, err := json.Marshal(spec)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("encode campaign spec: %w", err)
+		return nil, afterimage.SweepResult{}, false, fmt.Errorf("encode campaign spec: %w", err)
 	}
 	dres, err := s.cfg.Cluster.Dispatch(ctx, key, payload)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, afterimage.SweepResult{}, false, err
 	}
 	var res afterimage.SweepResult
 	if err := json.Unmarshal(dres.Body, &res); err != nil {
-		return nil, nil, false, fmt.Errorf("decode dispatched result: %w", err)
+		return nil, afterimage.SweepResult{}, false, fmt.Errorf("decode dispatched result: %w", err)
 	}
-	degraded := s.persistResult(ctx, key, dres.Body)
-	s.removeCheckpoint(key) // left by a degrade-to-local run, if any
-	s.completed.Inc()
 	obslog.Ctx(s.log, ctx).Info("campaign dispatched", "key", key,
 		"mode", dres.Mode, "worker", dres.Worker, "attempts", len(dres.Attempts))
-
-	rec := buildCampaignSpansDispatch(obslog.Correlation(ctx), key, spec, res, dres.Attempts)
-	s.traces.put(rec)
-	s.appendSpanLog(rec)
-	return dres.Body, nil, degraded, nil
+	return dres.Body, res, s.complete(ctx, key, spec, dres.Body, res, dres.Attempts), nil
 }
 
-func (s *Server) checkpointPath(key string) string {
-	return filepath.Join(s.cfg.CheckpointDir, key+".ckpt")
+// executor runs campaigns in-process: the sweep under the supervised runner
+// with resume always on and a fingerprint-keyed checkpoint per campaign
+// under dir, written and removed through fs. The coordinator's local path
+// and the worker each run campaigns through one, so their bytes are
+// identical.
+type executor struct {
+	dir     string
+	fs      vfs.FS
+	workers int
+	reg     *telemetry.Registry
+	log     *slog.Logger
+}
+
+// runSweep runs spec's sweep with no caller lab
+// (afterimage.RunFaultSweepCtx): if a previous run of this campaign was
+// interrupted (crash, drain, client cancel, a coordinator that hung up),
+// the completed points in its checkpoint are loaded instead of
+// re-simulated, and the final bytes equal an uninterrupted run's.
+// onCheckpoint, when set, observes each checkpoint write. The checkpoint
+// stays: the caller removes it (removeCheckpoint) once the result is where
+// a restart finds it (stored by the coordinator, sent by the worker).
+func (e *executor) runSweep(ctx context.Context, key string, spec CampaignSpec, onCheckpoint func(completed int)) ([]byte, afterimage.SweepResult, error) {
+	// The deadline/cancel wiring below the runner: each sweep point's job
+	// context descends from ctx, and the sweep arms each point lab's
+	// simulator watchdog with it (Lab.ArmCancel), so cancellation and
+	// deadlines surface as typed FaultBudget faults at the next simulated
+	// operation.
+	so := spec.sweepOptions()
+	so.Runner = runner.Options{
+		Workers:        e.workers,
+		Metrics:        e.reg,
+		Logger:         e.log,
+		CheckpointPath: e.checkpointPath(key),
+		FS:             e.fs,
+		Resume:         true,
+		OnCheckpoint:   onCheckpoint,
+	}
+	res, err := afterimage.RunFaultSweepCtx(ctx, spec.labOptions(), so)
+	if err != nil {
+		return nil, afterimage.SweepResult{}, err
+	}
+	body, err := res.JSON()
+	if err != nil {
+		return nil, afterimage.SweepResult{}, fmt.Errorf("encode result: %w", err)
+	}
+	return body, res, nil
+}
+
+func (e *executor) checkpointPath(key string) string {
+	return filepath.Join(e.dir, key+".ckpt")
 }
 
 // removeCheckpoint deletes a finished campaign's checkpoint.
-func (s *Server) removeCheckpoint(key string) {
+func (e *executor) removeCheckpoint(key string) {
 	// Best effort: the result supersedes it, and a survivor only makes the
 	// next run of the campaign resume instead of recompute.
-	_ = s.fs.Remove(s.checkpointPath(key))
+	_ = e.fs.Remove(e.checkpointPath(key))
 }
 
 // campaignError maps an execution failure onto an HTTP shape. Cancellation

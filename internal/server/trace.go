@@ -122,21 +122,17 @@ func (t *traceStore) get(key string) (telemetry.SpanRecord, bool) {
 //	            └── phase        final attempt with its train/trigger/
 //	                             probe/decode phase spans
 //
-// Cluster-dispatched campaigns (buildCampaignSpansDispatch) append one more
-// stage recording the failover audit trail:
+// Cluster-dispatched campaigns pass their dispatch attempts, which append
+// one more stage recording the failover audit trail:
 //
 //	└── dispatch     (stage)     only when the campaign went through the pool
 //	    └── dispatch[k] (job)    worker/outcome/hedge attrs per attempt —
 //	                             which worker ran it and why failovers
 //	                             happened
-func buildCampaignSpans(corr, key string, spec CampaignSpec, res afterimage.SweepResult) telemetry.SpanRecord {
-	return buildCampaignSpansDispatch(corr, key, spec, res, nil)
-}
-
-// buildCampaignSpansDispatch is buildCampaignSpans plus the cluster dispatch
-// trail. With no dispatch attempts the tree is bit-for-bit the single-process
+//
+// With no dispatch attempts the tree is bit-for-bit the single-process
 // tree, so non-cluster traces stay byte-stable.
-func buildCampaignSpansDispatch(corr, key string, spec CampaignSpec, res afterimage.SweepResult, dispatch []cluster.Attempt) telemetry.SpanRecord {
+func buildCampaignSpans(corr, key string, spec CampaignSpec, res afterimage.SweepResult, dispatch []cluster.Attempt) telemetry.SpanRecord {
 	root := telemetry.NewSpan("campaign", telemetry.SpanKindCampaign).
 		Attr("tenant", spec.Tenant).
 		Attr("attack", res.Attack).

@@ -7,15 +7,12 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"afterimage/internal/cluster"
 	"afterimage/internal/obslog"
-	"afterimage/internal/runner"
 	"afterimage/internal/telemetry"
 	"afterimage/internal/vfs"
 )
@@ -44,15 +41,17 @@ type WorkerConfig struct {
 }
 
 // Worker is the lab-pool execution node: the same campaign validation and
-// campaign runner (runSweep, with a resume-always checkpoint per campaign
-// under CheckpointDir) as the coordinator's local path, behind the cluster
-// wire protocol (POST /v1/execute, GET /healthz). Campaigns are pure
-// functions of their specs, so the bytes a worker returns are identical to
-// what any sibling — or the coordinator running locally — would produce.
+// campaign executor (executor.runSweep, with a resume-always checkpoint per
+// campaign under CheckpointDir, on the real filesystem) as the
+// coordinator's local path, behind the cluster wire protocol (POST
+// /v1/execute, GET /healthz). Campaigns are pure functions of their specs,
+// so the bytes a worker returns are identical to what any sibling — or the
+// coordinator running locally — would produce.
 type Worker struct {
-	cfg WorkerConfig
-	reg *telemetry.Registry
-	log *slog.Logger
+	cfg  WorkerConfig
+	exec executor
+	reg  *telemetry.Registry
+	log  *slog.Logger
 
 	sem      chan struct{}
 	draining atomic.Bool
@@ -71,9 +70,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.CheckpointDir == "" {
 		return nil, fmt.Errorf("server: WorkerConfig.CheckpointDir is required")
 	}
-	if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
-		return nil, fmt.Errorf("server: create worker checkpoint dir: %w", err)
-	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2
 	}
@@ -84,11 +80,17 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cfg.Registry = telemetry.NewRegistry()
 	}
 	reg := cfg.Registry
+	log := obslog.OrDiscard(cfg.Logger)
+	exec := executor{dir: cfg.CheckpointDir, fs: vfs.OS(), workers: cfg.PointWorkers, reg: reg, log: log}
+	if err := exec.fs.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
+		return nil, fmt.Errorf("server: create worker checkpoint dir: %w", err)
+	}
 	return &Worker{
-		cfg: cfg,
-		reg: reg,
-		log: obslog.OrDiscard(cfg.Logger),
-		sem: make(chan struct{}, cfg.MaxConcurrent),
+		cfg:  cfg,
+		exec: exec,
+		reg:  reg,
+		log:  log,
+		sem:  make(chan struct{}, cfg.MaxConcurrent),
 
 		requests:  reg.Counter("worker.requests"),
 		executed:  reg.Counter("worker.jobs.executed"),
@@ -181,14 +183,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)
 	wlog.Info("worker job started", "key", key, "worker", w.cfg.ID)
-	ckpt := filepath.Join(w.cfg.CheckpointDir, key+".ckpt")
-	body, _, _, err := runSweep(ctx, spec, runner.Options{
-		Workers:        w.cfg.PointWorkers,
-		Metrics:        w.reg,
-		Logger:         w.log,
-		CheckpointPath: ckpt,
-		FS:             vfs.OS(),
-	})
+	body, _, err := w.exec.runSweep(ctx, key, spec, nil)
 	if err != nil {
 		w.failed.Inc()
 		status := http.StatusInternalServerError
@@ -209,8 +204,7 @@ func (w *Worker) handleExecute(rw http.ResponseWriter, r *http.Request) {
 	rw.Write(body)
 	// The checkpoint goes only once the response is written, so a worker
 	// killed before that resumes the campaign instead of recomputing it.
-	// Best effort, as on the coordinator.
-	_ = vfs.OS().Remove(ckpt)
+	w.exec.removeCheckpoint(key)
 }
 
 // handleHealthz answers heartbeat probes: 200 while accepting jobs, 503 once

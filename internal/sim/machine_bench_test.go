@@ -153,12 +153,12 @@ func bootedPoint(m *Machine) {
 	pointWorkload(m, buf.Base)
 }
 
-// BenchmarkMachineReboot measures the per-point reset a sweep without a
+// BenchmarkMachineBoot measures the per-point reset a sweep without a
 // warmup pays: Boot(m.Cfg) after bootedPoint, which clears only the
 // dirtied cache sets, clears the TLB and reseeds the RNGs in place, and
 // rebuilds the other small components. Compare it with
 // BenchmarkMachineResetFrom and BenchmarkNewMachine.
-func BenchmarkMachineReboot(b *testing.B) {
+func BenchmarkMachineBoot(b *testing.B) {
 	m := NewMachine(Quiet(CoffeeLake(1)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -215,11 +215,11 @@ func BenchmarkMachineAudit(b *testing.B) {
 	}
 }
 
-// BenchmarkMachineAuditFrom measures the per-point final audit a sweep
+// BenchmarkMachineAuditTracked measures the per-point final audit a sweep
 // pays instead of BenchmarkMachineAudit: Audit after pointWorkload on a
 // copy of a template that audited clean, which checks the cache levels
 // over their dirty sets only; every other checker runs whole.
-func BenchmarkMachineAuditFrom(b *testing.B) {
+func BenchmarkMachineAuditTracked(b *testing.B) {
 	t, base := pointTemplate(b)
 	if err := t.Audit(); err != nil {
 		b.Fatal(err)
@@ -252,7 +252,7 @@ func BenchmarkMachineAuditBooted(b *testing.B) {
 
 // BenchmarkNewMachine measures construction cost. A sweep without a warmup
 // boots one machine per runner worker and resets it to the constructor
-// state for every later point attempt (BenchmarkMachineReboot); the
+// state for every later point attempt (BenchmarkMachineBoot); the
 // fresh-boot reference and one-off experiments boot one per point.
 func BenchmarkNewMachine(b *testing.B) {
 	b.ReportAllocs()

@@ -68,7 +68,7 @@ func (c idleCampaign) reference(t *testing.T) []byte {
 	if c.traced {
 		lab.EnableTrace(4096)
 	}
-	res, err := lab.runFaultSweep(context.Background(), c.sweep, true)
+	res, err := runFaultSweep(context.Background(), c.opts, lab.m.Telemetry(), c.sweep, true)
 	if err != nil {
 		t.Fatalf("%s: fresh reference: %v", c.name, err)
 	}

@@ -138,7 +138,7 @@ func ReplayTable3(ctx context.Context, opts ReportOptions, stem string) (*Replay
 // The receiver and o must match the recorded campaign — lab options, attack,
 // intensities, bits and fault template are all fingerprinted.
 func (l *Lab) ReplayFaultSweep(ctx context.Context, o SweepOptions, path string) (*ReplayReport, error) {
-	o, labOpts := l.sweepNormalize(o)
+	o, labOpts := sweepNormalize(l.opts, o)
 	fp := sweepFingerprint(labOpts, o)
 	completed, err := runner.ReadCheckpoint(path, fp)
 	if err != nil {

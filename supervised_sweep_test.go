@@ -3,6 +3,7 @@ package afterimage
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -172,7 +173,7 @@ func TestSweepPropagatesTelemetry(t *testing.T) {
 					lab.EnableTrace(0)
 				}
 				o.Runner.Workers = workers
-				res, err := lab.runFaultSweep(context.Background(), o, fresh)
+				res, err := runFaultSweep(context.Background(), lab.opts, lab.m.Telemetry(), o, fresh)
 				if err != nil {
 					t.Fatalf("sweep: %v", err)
 				}
@@ -255,6 +256,64 @@ func TestSweepPropagatesTelemetry(t *testing.T) {
 	}
 }
 
+// TestSweepLablessMatchesLab: the package-level RunFaultSweepCtx, which
+// builds no caller lab, returns the bytes a lab's RunFaultSweepCtx returns,
+// for every attack, warm and cold, on one and two workers; its result's
+// phases are the ones an untraced lab absorbs; invalid lab options come
+// back as a typed *OptionError; and a cold campaign leaves no more idle
+// machines than it had point labs, so it took no caller machine.
+func TestSweepLablessMatchesLab(t *testing.T) {
+	opts := Options{Seed: 9}
+	for _, attack := range []SweepAttack{SweepV1Thread, SweepV1Process, SweepV2Kernel, SweepCovert} {
+		for _, warmup := range []int{0, 2000} {
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("%s/warmup=%d/workers=%d", attack, warmup, workers)
+				o := SweepOptions{Attack: attack, Bits: 6, Intensities: []float64{0, 1, 2},
+					Warmup: warmup, Runner: runner.Options{Workers: workers}}
+				lab := NewLab(opts)
+				want, err := lab.RunFaultSweepCtx(context.Background(), o)
+				if err != nil {
+					t.Fatalf("%s: lab sweep: %v", name, err)
+				}
+				wantPhases := lab.PhaseSummaries()
+				lab.Close()
+
+				drainIdle()
+				got, err := RunFaultSweepCtx(context.Background(), opts, o)
+				if err != nil {
+					t.Fatalf("%s: lab-less sweep: %v", name, err)
+				}
+				if n := idleCount(opts.Model); warmup == 0 && n > workers {
+					t.Errorf("%s: %d idle machines after a cold campaign of %d point labs", name, n, workers)
+				}
+				gotRaw, err := got.JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantRaw, err := want.JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(gotRaw, wantRaw) {
+					t.Errorf("%s: lab-less curve differs from the lab's:\ngot  %s\nwant %s", name, gotRaw, wantRaw)
+				}
+				if len(wantPhases) == 0 || !slices.Equal(got.PhaseSummaries(), wantPhases) {
+					t.Errorf("%s: result phases %+v, lab phases %+v", name, got.PhaseSummaries(), wantPhases)
+				}
+			}
+		}
+	}
+
+	res, err := RunFaultSweepCtx(context.Background(), Options{AuditEvery: -1}, smallSweep())
+	var oe *OptionError
+	if !errors.As(err, &oe) || oe.Field != "AuditEvery" {
+		t.Fatalf("invalid options: err %v, want an *OptionError on AuditEvery", err)
+	}
+	if len(res.Points) != 0 {
+		t.Fatalf("invalid options ran %d points", len(res.Points))
+	}
+}
+
 // TestSweepCanceledReturnsPrefix: a canceled campaign returns the completed
 // prefix and an error, never a silently-truncated "successful" curve.
 func TestSweepCanceledReturnsPrefix(t *testing.T) {
@@ -275,8 +334,7 @@ func TestSweepCanceledReturnsPrefix(t *testing.T) {
 // the constant makes every recorded checkpoint of such a campaign refuse
 // to resume.
 func TestSweepFingerprintPinned(t *testing.T) {
-	lab := NewLab(Options{Seed: 5, MaxCycles: 1_000_000})
-	o, labOpts := lab.sweepNormalize(SweepOptions{Attack: SweepV2Kernel, Bits: 8})
+	o, labOpts := sweepNormalize(Options{Seed: 5, MaxCycles: 1_000_000}, SweepOptions{Attack: SweepV2Kernel, Bits: 8})
 	if got, want := sweepFingerprint(labOpts, o), "b3f56e97ffe53bcc"; got != want {
 		t.Fatalf("sweep fingerprint %s, want %s", got, want)
 	}

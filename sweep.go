@@ -132,8 +132,9 @@ type SweepPoint struct {
 	// the checkpoint and diffs these.
 	StateHash uint64 `json:"state_hash,omitempty"`
 	// Phases carries the point lab's attack-phase accounting
-	// (train/trigger/probe/decode), which the parent lab also absorbs into
-	// its own PhaseSummaries. Its event counts are zero, traced or not.
+	// (train/trigger/probe/decode), which SweepResult.PhaseSummaries merges
+	// and a calling lab also absorbs into its own PhaseSummaries. Its event
+	// counts are zero, traced or not.
 	Phases []PhaseSummary `json:"phases,omitempty"`
 }
 
@@ -148,6 +149,17 @@ type SweepResult struct {
 // the parallel/sequential/resume guarantee.
 func (r SweepResult) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
+}
+
+// PhaseSummaries merges the points' attack-phase accounting into one
+// aggregate per phase, in order of first appearance: the campaign's phases,
+// which an untraced lab that ran the sweep also reports.
+func (r SweepResult) PhaseSummaries() []PhaseSummary {
+	h := telemetry.NewHub()
+	for _, pt := range r.Points {
+		h.AbsorbSummaries(pt.Phases)
+	}
+	return h.PhaseSummaries()
 }
 
 // RunFaultSweep measures how one attack degrades under increasing fault-
@@ -169,7 +181,8 @@ func (r SweepResult) JSON() ([]byte, error) {
 // changes no result byte. The whole curve is a pure function of the
 // options and the lab seed — rerunning with the same seed reproduces it
 // point for point, regardless of worker count, checkpoint resume or which
-// machines the pool handed out.
+// machines the pool handed out. Nothing is simulated on the receiver; the
+// package-level RunFaultSweepCtx runs the same campaign without a lab.
 func (l *Lab) RunFaultSweep(o SweepOptions) SweepResult {
 	res, _ := l.RunFaultSweepCtx(context.Background(), o)
 	return res
@@ -181,22 +194,42 @@ func (l *Lab) RunFaultSweep(o SweepOptions) SweepResult {
 // recorded as degraded instead of aborting the curve, and — when a
 // checkpoint is configured — every completed point is persisted so a killed
 // sweep resumes where it stopped. A canceled context returns the completed
-// prefix of the curve together with the cancellation error.
+// prefix of the curve together with the cancellation error. The lab's
+// telemetry hub absorbs the points' phases and, when tracing, their events,
+// and its registry receives the campaign's metrics unless o.Runner.Metrics
+// names another.
 func (l *Lab) RunFaultSweepCtx(ctx context.Context, o SweepOptions) (SweepResult, error) {
-	return l.runFaultSweep(ctx, o, false)
+	return runFaultSweep(ctx, l.opts, l.m.Telemetry(), o, false)
 }
 
-// runFaultSweep is RunFaultSweepCtx with fresh set to build and warm every
-// point attempt's lab from nothing, from a pointLabs with no pool and no
-// template, instead of recycling point labs and idle machines. The two are
-// bit-identical point for point and share one fingerprint; the fresh build
-// is the reference the fork-vs-fresh differential tests and
-// BenchmarkSweepFresh compare the pooled campaign against.
-func (l *Lab) runFaultSweep(ctx context.Context, o SweepOptions, fresh bool) (SweepResult, error) {
-	if err := o.Validate(); err != nil {
-		return SweepResult{Attack: o.Attack.String(), Model: l.ModelName()}, err
+// RunFaultSweepCtx runs the campaign that NewLab(opts).RunFaultSweepCtx(ctx,
+// o) runs, with the same result bytes, without building the caller's lab:
+// a campaign is a function of its options, and only its point labs and
+// template hold machines. Invalid opts return a typed *OptionError. Metrics
+// go to o.Runner.Metrics alone (none when it is nil), and the campaign's
+// phases are the result's (SweepResult.PhaseSummaries).
+func RunFaultSweepCtx(ctx context.Context, opts Options, o SweepOptions) (SweepResult, error) {
+	return runFaultSweep(ctx, opts, nil, o, false)
+}
+
+// runFaultSweep is the campaign behind both RunFaultSweepCtx entry points.
+// hub, when not nil, is the calling lab's: it sets the points' trace
+// capacity, absorbs their phases and events, and is the default metrics
+// registry. fresh builds and warms every point attempt's lab from nothing,
+// from a pointLabs with no pool and no template, instead of recycling
+// point labs and idle machines. The two are bit-identical point for point
+// and share one fingerprint; the fresh build is the reference the
+// fork-vs-fresh differential tests and BenchmarkSweepFresh compare the
+// pooled campaign against.
+func runFaultSweep(ctx context.Context, opts Options, hub *telemetry.Hub, o SweepOptions, fresh bool) (SweepResult, error) {
+	if err := opts.Validate(); err != nil {
+		return SweepResult{Attack: o.Attack.String()}, err
 	}
-	o, labOpts := l.sweepNormalize(o)
+	res := SweepResult{Attack: o.Attack.String(), Model: opts.machineConfig().Name}
+	if err := o.Validate(); err != nil {
+		return res, err
+	}
+	o, labOpts := sweepNormalize(opts, o)
 
 	// A warm campaign's shared prefix is warmed once: one pristine template
 	// lab per configuration, audited once, and copied for every point
@@ -219,8 +252,8 @@ func (l *Lab) runFaultSweep(ctx context.Context, o SweepOptions, fresh bool) (Sw
 	// in point order; distinct indices make the writes race-free under
 	// parallel workers.
 	traceCap := 0
-	if b := l.m.Telemetry().Bus(); b != nil {
-		traceCap = b.Cap()
+	if hub.TraceEnabled() {
+		traceCap = hub.Bus().Cap()
 	}
 	events := make([][]telemetry.Event, len(o.Intensities))
 	jobs := make([]runner.Job, len(o.Intensities))
@@ -245,16 +278,14 @@ func (l *Lab) runFaultSweep(ctx context.Context, o SweepOptions, fresh bool) (Sw
 	if ropts.Seed == 0 {
 		ropts.Seed = labOpts.Seed
 	}
-	if ropts.Metrics == nil {
-		ropts.Metrics = l.m.Telemetry().Registry()
+	if ropts.Metrics == nil && hub != nil {
+		ropts.Metrics = hub.Registry()
 	}
 	ropts.Fingerprint = sweepFingerprint(labOpts, o)
 
 	jrs, rerr := runner.Run(ctx, jobs, ropts)
 	labs.close()
 
-	res := SweepResult{Attack: o.Attack.String(), Model: l.ModelName()}
-	tel := l.m.Telemetry()
 	for i, jr := range jrs {
 		if jr.Skipped {
 			continue // canceled before completion; a resume re-runs it
@@ -276,30 +307,35 @@ func (l *Lab) runFaultSweep(ctx context.Context, o SweepOptions, fresh bool) (Sw
 		}
 		pt.Degraded = jr.Degraded
 		pt.Quarantined = hasCorruptionHistory(jr.FaultHistory)
-		tel.AbsorbSummaries(pt.Phases)
-		// Into the campaign's metrics registry (the server's, when run under
-		// one), so the per-phase breakdown reaches /metrics.
-		observePhaseCycles(ropts.Metrics, pt.Phases)
-		tel.AbsorbEvents(events[i])
+		hub.AbsorbSummaries(pt.Phases)
+		hub.AbsorbEvents(events[i])
+		// Each phase's cycles go into a sim.phase.<name>.cycles histogram of
+		// the campaign's metrics registry (the server's, when run under one),
+		// so the per-stage breakdown the span tree shows per campaign is also
+		// queryable in aggregate on /metrics.
+		if ropts.Metrics != nil {
+			for _, p := range pt.Phases {
+				ropts.Metrics.Histogram("sim.phase."+p.Name+".cycles", phaseCycleBounds).Observe(p.Cycles)
+			}
+		}
 		res.Points = append(res.Points, pt)
 	}
 	return res, rerr
 }
 
 // sweepNormalize fills the sweep defaults and derives the per-point lab
-// options (the FullReport-aligned seed offset; the per-point watchdog is
-// the lab's own MaxCycles) — shared by the sweep itself and the replay
-// harness so both derive identical points.
-func (l *Lab) sweepNormalize(o SweepOptions) (SweepOptions, Options) {
+// options from the campaign's (the FullReport-aligned seed offset; the
+// per-point watchdog is the campaign's own MaxCycles) — shared by the sweep
+// itself and the replay harness so both derive identical points.
+func sweepNormalize(opts Options, o SweepOptions) (SweepOptions, Options) {
 	if len(o.Intensities) == 0 {
 		o.Intensities = []float64{0, 0.5, 1, 2, 4}
 	}
 	if o.Bits <= 0 {
 		o.Bits = 32
 	}
-	labOpts := l.opts
-	labOpts.Seed += o.Attack.seedOffset()
-	return o, labOpts
+	opts.Seed += o.Attack.seedOffset()
+	return o, opts
 }
 
 // sweepWarmupPages sizes the preconditioning buffer: 64 locked pages of
@@ -370,15 +406,6 @@ func sweepFingerprint(labOpts Options, o SweepOptions) string {
 // phaseCycleBounds bucket per-phase simulated time: a training pass on a
 // tiny campaign is thousands of cycles, a full-report probe phase millions.
 var phaseCycleBounds = []uint64{1_000, 10_000, 100_000, 1_000_000, 10_000_000}
-
-// observePhaseCycles feeds each completed point's attack-phase durations
-// into sim.phase.<name>.cycles histograms, so the per-stage breakdown the
-// span tree shows per campaign is also queryable in aggregate on /metrics.
-func observePhaseCycles(reg *telemetry.Registry, phases []PhaseSummary) {
-	for _, p := range phases {
-		reg.Histogram("sim.phase."+p.Name+".cycles", phaseCycleBounds).Observe(p.Cycles)
-	}
-}
 
 // hasCorruptionHistory reports whether any attempt of a job died on an
 // invariant-audit (corruption) fault.
