@@ -190,9 +190,10 @@ func main() {
 	}
 
 	// Graceful drain: refuse new executions, cancel in-flight campaigns at
-	// their next point boundary (each completed point is already
-	// checkpointed), wait for them to unwind, then close the listener. A
-	// restart resumes every interrupted campaign from its checkpoint.
+	// their next point boundary (the runner writes each completed point to
+	// the checkpoint before it returns), wait for them to unwind, then
+	// close the listener. A restart resumes every interrupted campaign from
+	// its checkpoint.
 	log.Info("draining: in-flight campaigns checkpoint and stop")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()

@@ -24,7 +24,7 @@ type RunnerFlags struct {
 func RegisterRunner() *RunnerFlags {
 	f := &RunnerFlags{}
 	flag.IntVar(&f.Jobs, "jobs", 1, "parallel workers for supervised campaigns (results are identical for any value)")
-	flag.StringVar(&f.Checkpoint, "checkpoint", "", "persist completed campaign points to this file (an atomic first write, then one fsynced append per point; campaigns derive per-name files from this stem)")
+	flag.StringVar(&f.Checkpoint, "checkpoint", "", "persist completed campaign points to this file, in batches once about 100 ms of their compute is unwritten and all of them when the run ends or is interrupted (an atomic first write, then one fsynced append per batch; campaigns derive per-name files from this stem)")
 	flag.BoolVar(&f.Resume, "resume", false, "resume from the -checkpoint file, skipping already-completed points")
 	flag.DurationVar(&f.Timeout, "timeout", 0, "per-point wall deadline (e.g. 30s); an overrunning point faults, is retried, and degrades if it keeps timing out (0 = none)")
 	return f

@@ -58,15 +58,15 @@ func TestChaosKillResumeDeterministic(t *testing.T) {
 			Sleep:          noSleep,
 			CheckpointPath: path,
 			Fingerprint:    fp,
-			OnCheckpoint: func(completed int) {
+			OnComplete: func(completed int) {
 				if completed >= killAfter {
-					cancel() // the "kill -9" moment: no cleanup, no final write
+					cancel() // the "kill" moment: Run writes what completed before it returns
 				}
 			},
 		})
 		cancel()
 		if err == nil {
-			// The kill landed after the last checkpoint write: the campaign
+			// The kill landed after the last completion: the campaign
 			// completed. Still a valid trial — resume below must be a no-op.
 			t.Logf("trial %d: campaign outran the kill at %d", trial, killAfter)
 		}

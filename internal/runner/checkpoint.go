@@ -72,15 +72,18 @@ func decodeCheckpoint(path string, raw []byte) (checkpointFile, error) {
 	}
 }
 
-// checkpointState is the live handle: the completed map, where to persist
-// it and the filesystem to persist it through, and, once the run's first
-// write has published the document, the open log later completions append
-// to.
+// checkpointState is the live handle: the completed map, the completions
+// not yet durable, where to persist them and the filesystem to persist them
+// through, and, once the run's first write has published the document, the
+// open log later writes append to.
 type checkpointState struct {
 	path        string
 	fingerprint string
 	fs          vfs.FS
 	completed   map[string]JobResult
+	// pending holds the completions added since the last durable write, in
+	// completion order.
+	pending []JobResult
 	// log is the published checkpoint, still open from the run's first
 	// write; nil before that write and after close.
 	log vfs.File
@@ -162,23 +165,41 @@ func openCheckpoint(path, fingerprint string, resume bool, fsys vfs.FS, c counte
 	return st, nil
 }
 
-// add records r as completed and makes it durable. The run's first add
-// publishes the document, holding every job completed so far (resumed ones
-// included), atomically; every later add appends r as one record and
-// fsyncs it. After an error nothing further may be added.
-func (st *checkpointState) add(r JobResult) error {
+// add records r as completed; it is durable only after the next flush.
+func (st *checkpointState) add(r JobResult) {
 	st.completed[r.Key] = r
+	st.pending = append(st.pending, r)
+}
+
+// flush makes every pending completion durable. The run's first flush
+// publishes the document, holding every job completed so far (resumed ones
+// included), atomically; every later flush appends the pending records
+// with one write and one fsync. After an error nothing further may be
+// flushed.
+func (st *checkpointState) flush() error {
 	if st.log == nil {
-		return st.publish()
+		if err := st.publish(); err != nil {
+			return err
+		}
+		st.pending = st.pending[:0]
+		return nil
 	}
-	line, err := json.Marshal(r)
-	if err != nil {
+	var buf []byte
+	for _, r := range st.pending {
+		line, err := json.Marshal(r)
+		if err != nil {
+			return err
+		}
+		buf = append(append(buf, line...), '\n')
+	}
+	if _, err := st.log.Write(buf); err != nil {
 		return err
 	}
-	if _, err := st.log.Write(append(line, '\n')); err != nil {
+	if err := st.log.Sync(); err != nil {
 		return err
 	}
-	return st.log.Sync()
+	st.pending = st.pending[:0]
+	return nil
 }
 
 // publish writes the document atomically and durably and keeps it open as
@@ -227,7 +248,7 @@ func (st *checkpointState) publish() error {
 // close releases the log; Run calls it before returning.
 func (st *checkpointState) close() {
 	if st.log != nil {
-		// Every record was fsynced when added, so a close error loses nothing.
+		// Every write was fsynced, so a close error loses nothing durable.
 		_ = st.log.Close()
 		st.log = nil
 	}

@@ -78,12 +78,21 @@ func (c countingFile) Close() error {
 	return c.File.Close()
 }
 
-// TestCheckpointLogCallCounts: a run of five completions publishes the
-// document once (one create, one rename, one directory fsync) and appends
-// the other four, with one write and one fsync per completion, and closes
-// its handle before returning. After each OnCheckpoint the file holds
-// exactly the jobs completed so far, and each durable write is timed.
+// writeEachCompletion lowers the bound to zero for the rest of the test, so
+// every completion is written on its own.
+func writeEachCompletion(t *testing.T) {
+	atRiskBound = 0
+	t.Cleanup(func() { atRiskBound = checkpointBound })
+}
+
+// TestCheckpointLogCallCounts: with the bound at zero, a run of five
+// completions publishes the document once (one create, one rename, one
+// directory fsync) and appends the other four, with one write and one fsync
+// per completion, and closes its handle before returning. After each
+// OnComplete the file holds exactly the jobs completed so far, and each
+// durable write is timed.
 func TestCheckpointLogCallCounts(t *testing.T) {
+	writeEachCompletion(t)
 	path := filepath.Join(t.TempDir(), "log.ckpt")
 	fp := Fingerprint("log")
 	jobs := chaosJobs(5)
@@ -91,7 +100,7 @@ func TestCheckpointLogCallCounts(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	_, err := Run(context.Background(), jobs, Options{
 		CheckpointPath: path, Fingerprint: fp, FS: fsys, Metrics: reg, Sleep: noSleep,
-		OnCheckpoint: func(completed int) { // on a runner worker goroutine: no t.Fatal
+		OnComplete: func(completed int) { // on a runner worker goroutine: no t.Fatal
 			got, err := ReadCheckpoint(path, fp)
 			if err != nil {
 				t.Errorf("after %d completions: %v", completed, err)
@@ -208,8 +217,10 @@ func appendBytes(t *testing.T, path string, b []byte) {
 
 // TestCheckpointDamagedRecordsQuarantined: a line between two records that
 // is not a record is damage, not a torn append. The log is quarantined as
-// .corrupt and the campaign recomputes, as for a damaged document.
+// .corrupt and the campaign recomputes, as for a damaged document. The
+// bound is zero, so the first run leaves records after its document.
 func TestCheckpointDamagedRecordsQuarantined(t *testing.T) {
+	writeEachCompletion(t)
 	jobs := chaosJobs(4)
 	straight, err := Run(context.Background(), jobs, Options{Sleep: noSleep})
 	if err != nil {
@@ -321,7 +332,9 @@ func TestCheckpointV1DocumentResumes(t *testing.T) {
 // quarantines it and recomputes the whole campaign, with byte-identical
 // results. This is the log's one trade-off against rewriting the whole file
 // per completion, where the next write would have replaced the torn one.
+// The bound is zero, so each completion is its own append.
 func TestChaosTornAppendQuarantinedOnResume(t *testing.T) {
+	writeEachCompletion(t)
 	jobs := chaosJobs(4)
 	straight, err := Run(context.Background(), jobs, Options{Sleep: noSleep})
 	if err != nil {

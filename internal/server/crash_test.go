@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"afterimage/internal/runner"
 	"afterimage/internal/server"
 	"afterimage/internal/store"
+	"afterimage/internal/telemetry"
 	"afterimage/internal/vfs"
 )
 
@@ -253,11 +255,67 @@ func (f *checkpointProbeFS) Create(path string) (vfs.File, error) {
 	return f.FS.Create(path)
 }
 
+// drainAfterFirstPoint drains e's server once campaign key completes its
+// first point, and holds that point's runner worker until the drain has
+// canceled the campaign, so no later point completes and the drain's
+// checkpoint write is certain. The returned channel closes when the drain
+// has finished.
+func drainAfterFirstPoint(t *testing.T, e *env, key string) <-chan struct{} {
+	t.Helper()
+	flightCtx := make(chan context.Context, 1)
+	e.srv.SetTestGate(func(ctx context.Context, k string) error {
+		if k == key {
+			flightCtx <- ctx
+		}
+		return nil
+	})
+	drained := make(chan struct{})
+	var once sync.Once
+	e.srv.SetTestPointDone(func(k string, completed int) {
+		if k != key {
+			return
+		}
+		once.Do(func() {
+			ctx := <-flightCtx
+			go func() {
+				dctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+				defer cancel()
+				if err := e.srv.Drain(dctx); err != nil {
+					t.Errorf("drain: %v", err)
+				}
+				close(drained)
+			}()
+			<-ctx.Done()
+		})
+	})
+	return drained
+}
+
+// submitDrained submits spec to a server that drainAfterFirstPoint drains,
+// requires the retryable 503 a drained campaign answers, and waits for the
+// drain to finish.
+func submitDrained(t *testing.T, e *env, spec server.CampaignSpec, drained <-chan struct{}) {
+	t.Helper()
+	_, err := e.cl.Submit(context.Background(), spec)
+	var re *client.RetryableError
+	if !errors.As(err, &re) || re.Status != http.StatusServiceUnavailable {
+		t.Fatalf("drained submit: got %v, want 503", err)
+	}
+	select {
+	case <-drained:
+	case <-time.After(15 * time.Second):
+		t.Fatal("drain never completed")
+	}
+}
+
 // TestCheckpointOutlivesStoreWrite: a served campaign's checkpoint still
 // exists when the store writes the campaign's result, and is gone once the
 // campaign has answered, on the local path and on the cluster's
 // degrade-to-local path. A kill between the two therefore finds either the
-// stored result or the checkpoint, never neither.
+// stored result or the checkpoint, never neither. A tiny campaign that
+// completes writes no checkpoint, so a first server is drained after the
+// campaign's first point, which writes one, and a restarted server
+// completes the campaign from it.
 func TestCheckpointOutlivesStoreWrite(t *testing.T) {
 	for _, clustered := range []bool{false, true} {
 		spec := tinySpec(141)
@@ -265,30 +323,50 @@ func TestCheckpointOutlivesStoreWrite(t *testing.T) {
 		dir := t.TempDir()
 		ckptDir := filepath.Join(dir, "ckpt")
 		probe := &checkpointProbeFS{FS: vfs.OS(), ckpt: filepath.Join(ckptDir, key+".ckpt")}
-		st, _, err := store.OpenWith(store.Options{Dir: filepath.Join(dir, "store"), FS: probe})
+		start := func(storeDir string, storeFS vfs.FS) *env {
+			reg := telemetry.NewRegistry()
+			st, _, err := store.OpenWith(store.Options{Dir: storeDir, Registry: reg, FS: storeFS})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := server.Config{Store: st, CheckpointDir: ckptDir, Registry: reg}
+			if clustered {
+				// No workers: every dispatch degrades to local execution.
+				coord := cluster.New(cluster.Config{})
+				t.Cleanup(coord.Stop)
+				cfg.Cluster = coord
+			}
+			srv, err := server.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := httptest.NewServer(srv.Handler())
+			t.Cleanup(hs.Close)
+			t.Cleanup(func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				srv.Drain(ctx)
+			})
+			return &env{srv: srv, hs: hs, cl: client.New(hs.URL), reg: reg, st: st}
+		}
+
+		first := start(filepath.Join(dir, "store-first"), vfs.OS())
+		submitDrained(t, first, spec, drainAfterFirstPoint(t, first, key))
+		if _, err := os.Stat(probe.ckpt); err != nil {
+			t.Fatalf("clustered=%v: the drained run left no checkpoint: %v", clustered, err)
+		}
+		first.hs.Close()
+
+		e := start(filepath.Join(dir, "store"), probe)
+		res, err := e.cl.Submit(context.Background(), spec)
 		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := server.Config{Store: st, CheckpointDir: ckptDir}
-		if clustered {
-			// No workers: every dispatch degrades to local execution.
-			coord := cluster.New(cluster.Config{})
-			t.Cleanup(coord.Stop)
-			cfg.Cluster = coord
-		}
-		srv, err := server.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := httptest.NewServer(srv.Handler())
-		t.Cleanup(hs.Close)
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			srv.Drain(ctx)
-		})
-		if _, err := client.New(hs.URL).Submit(context.Background(), spec); err != nil {
 			t.Fatalf("clustered=%v: %v", clustered, err)
+		}
+		if res.Source != "miss" {
+			t.Fatalf("clustered=%v: source %q, want miss", clustered, res.Source)
+		}
+		if got := e.counter(t, "runner.jobs.resumed"); got != 1 {
+			t.Fatalf("clustered=%v: runner.jobs.resumed = %d, want the drained run's point", clustered, got)
 		}
 		probe.mu.Lock()
 		seen := probe.seen
@@ -299,6 +377,61 @@ func TestCheckpointOutlivesStoreWrite(t *testing.T) {
 		if _, err := os.Stat(probe.ckpt); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("clustered=%v: checkpoint not removed after the result was stored: %v", clustered, err)
 		}
+	}
+}
+
+// writeCountFS counts the filesystem calls that begin or publish a write:
+// creates, renames and directory syncs. Every file write and fsync goes
+// through a file a create opened.
+type writeCountFS struct {
+	vfs.FS
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (f *writeCountFS) count(op string) {
+	f.mu.Lock()
+	f.calls[op]++
+	f.mu.Unlock()
+}
+
+func (f *writeCountFS) Create(path string) (vfs.File, error) {
+	f.count("create")
+	return f.FS.Create(path)
+}
+
+func (f *writeCountFS) Rename(oldpath, newpath string) error {
+	f.count("rename")
+	return f.FS.Rename(oldpath, newpath)
+}
+
+func (f *writeCountFS) SyncDir(path string) error {
+	f.count("syncdir")
+	return f.FS.SyncDir(path)
+}
+
+// TestCheckpointTinyMissWritesNothing: a served miss whose points take far
+// less compute than the checkpoint bound completes without writing its
+// checkpoint at all — the service deletes the file once the result is
+// stored, so there is nothing to protect.
+func TestCheckpointTinyMissWritesNothing(t *testing.T) {
+	fsys := &writeCountFS{FS: vfs.OS(), calls: make(map[string]int)}
+	e := newEnv(t, func(cfg *server.Config) { cfg.FS = fsys })
+	res, err := e.cl.Submit(context.Background(), tinySpec(151))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Source != "miss" {
+		t.Fatalf("source %q, want miss", res.Source)
+	}
+	fsys.mu.Lock()
+	calls := fmt.Sprint(fsys.calls)
+	fsys.mu.Unlock()
+	if calls != "map[]" {
+		t.Fatalf("checkpoint filesystem calls %s, want none", calls)
+	}
+	if got := e.counter(t, "runner.checkpoint.writes"); got != 0 {
+		t.Fatalf("runner.checkpoint.writes = %d, want 0", got)
 	}
 }
 

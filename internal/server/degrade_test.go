@@ -129,24 +129,45 @@ func TestCampaignServedWhenStoreWritesFail(t *testing.T) {
 }
 
 // TestCheckpointFaultsDontFailCampaigns: a checkpoint directory on a failing
-// disk costs resumability, not results — the campaign completes as a normal
-// miss and the degradation is visible in runner.checkpoint.degraded.
+// disk costs resumability, not results. A tiny campaign that completes
+// writes no checkpoint, so the failed write is the one a drain forces after
+// the first point; the degradation is visible in
+// runner.checkpoint.degraded. Resubmitted to a restarted server on the same
+// failing disk, the campaign completes as a normal miss with the bytes of a
+// healthy run, and is cached.
 func TestCheckpointFaultsDontFailCampaigns(t *testing.T) {
-	e := newEnv(t, func(cfg *server.Config) {
+	spec := tinySpec(42)
+	key := spec.Normalize().Key()
+	golden, err := newEnv(t, nil).cl.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	storeDir, ckptDir := filepath.Join(dir, "store"), filepath.Join(dir, "ckpt")
+	failing := func(cfg *server.Config) {
 		cfg.FS = vfs.NewFaultFS(vfs.FaultConfig{Seed: 17, EIORate: 1}, nil)
-	})
-	res, err := e.cl.Submit(context.Background(), tinySpec(42))
+	}
+	first := startEnv(t, storeDir, ckptDir, failing)
+	submitDrained(t, first, spec, drainAfterFirstPoint(t, first, key))
+	if v := first.counter(t, "runner.checkpoint.degraded"); v == 0 {
+		t.Fatal("runner.checkpoint.degraded = 0, want > 0")
+	}
+	first.hs.Close()
+
+	e := startEnv(t, storeDir, ckptDir, failing)
+	res, err := e.cl.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("campaign failed under checkpoint faults: %v", err)
 	}
 	if res.Source != "miss" {
 		t.Fatalf("Source = %q, want miss (store is healthy)", res.Source)
 	}
-	if v := e.counter(t, "runner.checkpoint.degraded"); v == 0 {
-		t.Fatal("runner.checkpoint.degraded = 0, want > 0")
+	if !bytes.Equal(res.Body, golden.Body) {
+		t.Fatal("response bytes under checkpoint faults differ from a healthy run")
 	}
 	// The result is cached despite the checkpoint loss.
-	res2, err := e.cl.Submit(context.Background(), tinySpec(42))
+	res2, err := e.cl.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

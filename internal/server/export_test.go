@@ -7,5 +7,5 @@ import "context"
 // use it to hold campaigns mid-flight deterministically.
 func (s *Server) SetTestGate(fn func(ctx context.Context, key string) error) { s.testGate = fn }
 
-// SetTestPointDone installs an observer for per-point checkpoint writes.
+// SetTestPointDone installs an observer for each completed point.
 func (s *Server) SetTestPointDone(fn func(key string, completed int)) { s.testPointDone = fn }

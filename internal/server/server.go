@@ -4,10 +4,12 @@
 // in-flight requests collapse onto one execution (single-flight); fresh work
 // passes a two-level admission controller (per-tenant quotas, bounded queue
 // with 429 + Retry-After load shedding) and runs through internal/runner
-// with fingerprint-keyed checkpoints, so a crash, drain, or client cancel
-// loses at most the point in progress — a restarted server resumes the rest
-// and, because campaigns are pure functions of their spec, serves bytes
-// identical to an uninterrupted run.
+// with fingerprint-keyed checkpoints, so a drain, deadline or client cancel
+// loses at most the points in progress, and a crash those and less than
+// 100 ms of completed compute per campaign (points are checkpointed in
+// batches) — a restarted server resumes the rest and, because campaigns are
+// pure functions of their spec, serves bytes identical to an uninterrupted
+// run.
 //
 // API (JSON unless noted):
 //
@@ -149,7 +151,7 @@ type Server struct {
 	sseActive                               *telemetry.Gauge
 
 	// Test seams: gate blocks inside runCampaign before simulation (its
-	// error aborts the run); pointDone observes checkpoint writes.
+	// error aborts the run); pointDone observes each completed point.
 	testGate      func(ctx context.Context, key string) error
 	testPointDone func(key string, completed int)
 }
@@ -328,11 +330,11 @@ func (s *Server) handleClusterWorkers(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Drain stops the server gracefully: new executions are refused with 503 +
-// Retry-After, every in-flight campaign is canceled — the runner checkpoints
-// each completed point, so nothing finished is lost — and Drain waits for
-// them to unwind (bounded by ctx). Cache hits keep being served throughout.
-// A restarted server resumes the checkpointed campaigns on their next
-// request.
+// Retry-After, every in-flight campaign is canceled — the runner writes
+// each completed point to the checkpoint before it returns, so nothing
+// finished is lost — and Drain waits for them to unwind (bounded by ctx).
+// Cache hits keep being served throughout. A restarted server resumes the
+// checkpointed campaigns on their next request.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.baseCancel()
@@ -648,10 +650,12 @@ type executor struct {
 // interrupted (crash, drain, client cancel, a coordinator that hung up),
 // the completed points in its checkpoint are loaded instead of
 // re-simulated, and the final bytes equal an uninterrupted run's.
-// onCheckpoint, when set, observes each checkpoint write. The checkpoint
-// stays: the caller removes it (removeCheckpoint) once the result is where
-// a restart finds it (stored by the coordinator, sent by the worker).
-func (e *executor) runSweep(ctx context.Context, key string, spec CampaignSpec, onCheckpoint func(completed int)) ([]byte, afterimage.SweepResult, error) {
+// onComplete, when set, observes each completed point. The checkpoint is
+// ephemeral: a run that completes writes no more of it, and any file an
+// earlier write left stays until the caller removes it (removeCheckpoint)
+// once the result is where a restart finds it (stored by the coordinator,
+// sent by the worker).
+func (e *executor) runSweep(ctx context.Context, key string, spec CampaignSpec, onComplete func(completed int)) ([]byte, afterimage.SweepResult, error) {
 	// The deadline/cancel wiring below the runner: each sweep point's job
 	// context descends from ctx, and the sweep arms each point lab's
 	// simulator watchdog with it (Lab.ArmCancel), so cancellation and
@@ -665,7 +669,8 @@ func (e *executor) runSweep(ctx context.Context, key string, spec CampaignSpec, 
 		CheckpointPath: e.checkpointPath(key),
 		FS:             e.fs,
 		Resume:         true,
-		OnCheckpoint:   onCheckpoint,
+		Ephemeral:      true,
+		OnComplete:     onComplete,
 	}
 	res, err := afterimage.RunFaultSweepCtx(ctx, spec.labOptions(), so)
 	if err != nil {

@@ -79,10 +79,14 @@ func TestServeSoak(t *testing.T) {
 	}
 
 	// victim is the campaign the kill lands on: enough points that at least
-	// one is checkpointed while others remain.
+	// one is checkpointed while others remain. Points are written once
+	// their compute passes the runner's checkpoint bound (100 ms), so each
+	// point is sized past it: a 4,096-bit v1-thread point took about 145 ms
+	// on a 2-vCPU host, so the first write lands after the first point,
+	// well before the campaign ends.
 	victim := server.CampaignSpec{
 		Tenant: "soak", Attack: "v1-thread", Seed: 900,
-		Bits: 16, Intensities: []float64{0, 1, 2, 3, 4, 5},
+		Bits: 4096, Intensities: []float64{0, 1, 2, 3, 4, 5},
 	}
 	victimKey := victim.Normalize().Key()
 
@@ -125,7 +129,8 @@ func TestServeSoak(t *testing.T) {
 	}
 	baseline := metricValue(t, cl, "runner.checkpoint.writes")
 
-	// Launch the victim and kill the server once its first point lands.
+	// Launch the victim and kill the server once its first checkpoint write
+	// lands.
 	go cl.Submit(ctx, victim) // the kill will sever this request; ignore it
 	deadline := time.Now().Add(60 * time.Second)
 	for metricValue(t, cl, "runner.checkpoint.writes") <= baseline {

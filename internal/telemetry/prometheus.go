@@ -31,7 +31,7 @@ var promHelp = map[string]string{
 	"store.corrupt":              "Store reads that failed content verification and were quarantined.",
 	"store.recovery.quarantined": "Torn or corrupt store files quarantined by the startup recovery scan.",
 	"store.recovery.entries":     "Valid entries indexed by the startup recovery scan.",
-	"runner.checkpoint.writes":   "Durable runner checkpoint writes, one per completed point: an atomic first write per run, then one fsynced append each.",
+	"runner.checkpoint.writes":   "Durable runner checkpoint writes, each carrying every completed point not yet durable: an atomic first write per run, then one fsynced append per later write.",
 	"runner.checkpoint.us":       "Wall time of each durable runner checkpoint write in microseconds, first writes and appends alike.",
 	"runner.checkpoint.corrupt":  "Unparseable runner checkpoints quarantined as .corrupt; the campaign recomputed identical results from scratch.",
 	"runner.checkpoint.degraded": "Campaigns that lost checkpointing to a disk fault and ran to completion without resume protection.",

@@ -178,7 +178,7 @@ func TestPrometheusCuratedHelp(t *testing.T) {
 		"afterimage_store_recovery_quarantined_total 2",
 		"# HELP afterimage_store_recovery_entries_total Valid entries indexed by the startup recovery scan.",
 		"# HELP afterimage_store_corrupt_total Store reads that failed content verification and were quarantined.",
-		"# HELP afterimage_runner_checkpoint_writes_total Durable runner checkpoint writes, one per completed point: an atomic first write per run, then one fsynced append each.",
+		"# HELP afterimage_runner_checkpoint_writes_total Durable runner checkpoint writes, each carrying every completed point not yet durable: an atomic first write per run, then one fsynced append per later write.",
 		"# HELP afterimage_runner_checkpoint_us Wall time of each durable runner checkpoint write in microseconds, first writes and appends alike.",
 		"afterimage_runner_checkpoint_us_count 1",
 		"# HELP afterimage_runner_checkpoint_corrupt_total Unparseable runner checkpoints quarantined as .corrupt; the campaign recomputed identical results from scratch.",

@@ -79,7 +79,7 @@ func TestSweepKillResumeByteIdentical(t *testing.T) {
 	o := smallSweep()
 	o.Runner = runner.Options{
 		CheckpointPath: path,
-		OnCheckpoint: func(completed int) {
+		OnComplete: func(completed int) {
 			if completed >= 1 {
 				cancel()
 			}
